@@ -1,0 +1,7 @@
+"""Run the command line interface as ``python -m turanlab``."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -328,7 +328,8 @@ def _run_lattice_z(doc, tol, budget):
         raise SpecError("field 'dimension' must be a positive integer")
     domain = lattice_domain(d, _domain_elements(doc["domain"]))
     hints = doc.get("hints", {})
-    reports = [upper_bound_z(domain, hints.get("M"), tolerances=tol)]
+    torus = upper_bound_z(domain, hints.get("M"), tolerances=tol)
+    reports = [torus]
     if "Lambda" in hints:
         raw = hints["Lambda"]
         if not isinstance(raw, dict) or set(raw) != {"basis", "residues"}:
@@ -340,7 +341,7 @@ def _run_lattice_z(doc, tol, budget):
         reports.append(density_bound_zd(domain, lam))
     if "H" in hints:
         reports.append(witness_zd(_domain_elements(hints["H"]), domain))
-    return _rank(reports), False
+    return _rank(reports), torus.certificate.get("budget_exhausted", False)
 
 
 def _run_real_line(doc, tol, budget):

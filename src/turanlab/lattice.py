@@ -136,7 +136,13 @@ def default_m_schedule(domain: LatticeDomain) -> list[int]:
 
 def upper_bound_z(domain: LatticeDomain, Ms=None,
                   tolerances: Tolerances = DEFAULT_TOLERANCES) -> BoundReport:
-    """Best finite-torus LP value over a modulus schedule."""
+    """Best finite-torus LP value over a modulus schedule.
+
+    A torus solve that ends budget-exceeded (a torus above the LP order
+    cap, or the pivot cap) still returns a valid upper bound, so it stays
+    in the schedule with its status; the certificate then carries
+    ``budget_exhausted: True``.
+    """
     if Ms is None:
         Ms = default_m_schedule(domain)
     if not Ms:
@@ -146,12 +152,18 @@ def upper_bound_z(domain: LatticeDomain, Ms=None,
     for M in Ms:
         G, image = torus_reduction(domain, M)
         sol = turan_constant(G, image, tolerances=tolerances)
-        if sol.status != "optimal":
+        if sol.status == "infeasible":
             raise CertificateInvalidError(
                 f"torus solve for modulus {M} ended {sol.status}")
         best = min(best, sol.value)
-        trace.append({"M": M, "value": sol.value, "running_min": best})
-    return BoundReport(best, "torus-lp", "upper", {"schedule": trace})
+        entry = {"M": M, "value": sol.value, "running_min": best}
+        if sol.status != "optimal":
+            entry["status"] = sol.status
+        trace.append(entry)
+    cert = {"schedule": trace}
+    if any("status" in e for e in trace):
+        cert["budget_exhausted"] = True
+    return BoundReport(best, "torus-lp", "upper", cert)
 
 
 @dataclass

@@ -134,7 +134,6 @@ def solve_column_lp(
             raise ValueError("starting basis is infeasible")
 
     costs_by_id = {cid: cost for cid, _vec, cost in initial_columns}
-    vec_by_id = {cid: np.asarray(v, dtype=dt) for cid, v, _ in initial_columns}
 
     pivots = 0
     bland_pivots = 0
@@ -176,7 +175,6 @@ def solve_column_lp(
             for cid, vec, cost in fresh:
                 work.add(cid, vec, cost)
                 costs_by_id[cid] = cost
-                vec_by_id[cid] = np.asarray(vec, dtype=dt)
             continue
 
         if pivots >= pivot_cap:

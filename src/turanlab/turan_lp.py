@@ -19,8 +19,11 @@ run returns something rigorous.
 """
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,8 +36,34 @@ from .groups import (Element, FiniteAbelianGroup, Subgroup, SymmetricDomain,
                      direct_product, image_domain, quotient_group,
                      subgroup_as_group, symmetric_domain)
 from .harmonic import (GroupFunction, _axis_transform, dft_exact_signs,
-                       is_positive_definite)
+                       is_positive_definite, root_of_unity)
 from .simplex import SingularBasisError, solve_column_lp
+
+
+def _digits(moduli: tuple[int, ...], idx: np.ndarray) -> np.ndarray:
+    """Mixed-radix coordinates of flat indices, one column per factor."""
+    out = np.empty((len(idx), len(moduli)), dtype=np.int64)
+    rest = np.asarray(idx, dtype=np.int64)
+    for j in range(len(moduli) - 1, -1, -1):
+        rest, out[:, j] = np.divmod(rest, moduli[j])
+    return out
+
+
+def _flat(moduli: tuple[int, ...], coords: np.ndarray) -> np.ndarray:
+    """Flat indices of coordinate rows, the inverse of ``_digits``."""
+    idx = np.zeros(len(coords), dtype=np.int64)
+    for j, m in enumerate(moduli):
+        idx = idx * m + coords[:, j] % m
+    return idx
+
+
+@lru_cache(maxsize=64)
+def _cos_table(N: int) -> np.ndarray:
+    """Re exp(2 pi i k / N) for k < N, exact at quarter turns (read-only,
+    since every problem with this N shares it)."""
+    table = np.array([root_of_unity(Fraction(k, N)).real for k in range(N)])
+    table.flags.writeable = False
+    return table
 
 
 @dataclass
@@ -48,6 +77,17 @@ class LPProblem:
     which is f(0) substituted out. Other constants are allowed (that is
     how malformed, unsatisfiable rows are expressed) and make the program
     potentially infeasible.
+
+    Rows are evaluated from integer phases, never from a transform: with
+    N = lcm(moduli) and the pair representatives' coordinates scaled to N
+    (``phase_x``), entry (r, q) is
+    ``sizes[q] * cos_table[(phase_x[q] . dual_coords[r]) % N]``, where
+    ``cos_table`` holds Re exp(2 pi i k / N) exact at quarter turns. For
+    moduli in {1, 2, 4} every entry is therefore exact; in exact mode
+    (moduli in {1, 2}) the table is +-1 and rows are Fractions. The flat
+    indices ``pair_index``, ``pair_neg_index`` and ``dual_index`` place the
+    pairs and dual pairs in the group's enumeration for the transforms
+    that still run over the whole group (pricing, certificate, witness).
     """
 
     group: FiniteAbelianGroup
@@ -56,6 +96,14 @@ class LPProblem:
     dual_pairs: list[tuple[Element, int]]
     constants: np.ndarray
     exact: bool = False
+    sizes: np.ndarray = field(kw_only=True, repr=False)
+    phase_x: np.ndarray = field(kw_only=True, repr=False)
+    pair_index: np.ndarray = field(kw_only=True, repr=False)
+    pair_neg_index: np.ndarray = field(kw_only=True, repr=False)
+    dual_coords: np.ndarray = field(kw_only=True, repr=False)
+    dual_sizes: np.ndarray = field(kw_only=True, repr=False)
+    dual_index: np.ndarray = field(kw_only=True, repr=False)
+    cos_table: np.ndarray = field(kw_only=True, repr=False)
 
     @property
     def n_vars(self) -> int:
@@ -67,29 +115,23 @@ class LPProblem:
 
     def weight_vector(self):
         if self.exact:
-            return np.array([Fraction(s) for _x, s in self.pairs], dtype=object)
-        return np.array([float(s) for _x, s in self.pairs])
+            return np.array([Fraction(s) for s in self.sizes.tolist()], dtype=object)
+        return self.sizes.astype(float)
 
-    def char_reals(self, t: Element):
-        """Re gamma_t over the whole group, indexed like group.elements."""
-        G = self.group
-        if self.exact:
-            v = [0] * G.order
-            v[G.index(t)] = 1
-            return dft_exact_signs(G, v)
-        v = np.zeros(G.order)
-        v[G.index(t)] = 1.0
-        return _axis_transform(v, G.moduli, False).real
+    def _cos(self, phases: np.ndarray) -> np.ndarray:
+        return self.cos_table[phases % len(self.cos_table)]
 
     def row(self, r: int):
         """Constraint row a_r with entries sum over pair q of Re gamma_r."""
-        G = self.group
-        re = self.char_reals(self.dual_pairs[r][0])
+        re = self._cos(self.phase_x @ self.dual_coords[r])
         if self.exact:
-            return np.array(
-                [Fraction(s) * re[G.index(x)] for x, s in self.pairs],
-                dtype=object)
-        return np.array([s * re[G.index(x)] for x, s in self.pairs])
+            return np.array([Fraction(s) * int(v) for s, v in
+                             zip(self.sizes.tolist(), re.tolist())], dtype=object)
+        return self.sizes * re
+
+    def dual_reals(self, q: int) -> np.ndarray:
+        """Re gamma_t(x_q) for every dual pair t, pair sizes not applied."""
+        return self._cos(self.dual_coords @ self.phase_x[q])
 
 
 def build_lp_problem(
@@ -102,8 +144,21 @@ def build_lp_problem(
         raise ValueError("domain belongs to a different group")
     if exact and any(m not in (1, 2) for m in group.moduli):
         raise ValueError("exact mode needs every modulus in {1, 2}")
+    mods = group.moduli
+    N = math.lcm(*mods)
     pairs = domain.pair_representatives()
-    dual_pairs = [(group.identity(), 1)] + group.pair_representatives(group.elements())
+    pair_coords = np.array([x for x, _s in pairs],
+                           dtype=np.int64).reshape(len(pairs), len(mods))
+    # dual pairs: the smaller flat index of each {t, -t} represents it,
+    # which is the enumeration-order choice of pair_representatives
+    flat = np.arange(group.order, dtype=np.int64)
+    coords = _digits(mods, flat)
+    neg = _flat(mods, -coords)
+    dual_index = np.concatenate(([0], np.flatnonzero((flat <= neg) & (flat > 0))))
+    dual_sizes = np.where(flat[dual_index] == neg[dual_index], 1, 2)
+    elems = group.elements()
+    dual_pairs = [(elems[i], int(s)) for i, s in zip(dual_index.tolist(),
+                                                      dual_sizes.tolist())]
     n = len(dual_pairs)
     if constants is None:
         consts = np.ones(n)
@@ -111,7 +166,18 @@ def build_lp_problem(
         consts = np.asarray(constants, dtype=float)
         if consts.shape != (n,):
             raise ValueError(f"constants must have length {n}")
-    return LPProblem(group, domain, pairs, dual_pairs, consts, exact)
+    scale = np.array([N // m for m in mods], dtype=np.int64)
+    return LPProblem(
+        group, domain, pairs, dual_pairs, consts, exact,
+        sizes=np.array([s for _x, s in pairs], dtype=np.int64),
+        phase_x=pair_coords * scale,
+        pair_index=_flat(mods, pair_coords),
+        pair_neg_index=_flat(mods, -pair_coords),
+        # solutions keep their problem; the narrowest dtype keeps this small
+        dual_coords=coords[dual_index].astype(np.min_scalar_type(max(mods, default=1))),
+        dual_sizes=dual_sizes,
+        dual_index=dual_index,
+        cos_table=_cos_table(N))
 
 
 @dataclass
@@ -144,15 +210,13 @@ def _fold_box_weight(problem: LPProblem, lam, q: int, mu, sign: int) -> None:
     feasibility or (for unit constants) the objective.
     """
     G = problem.group
-    re = problem.char_reals(problem.pairs[q][0])
+    re = problem.dual_reals(q)
     if problem.exact:
         inv = Fraction(1, G.order)
-        for r, (t, s) in enumerate(problem.dual_pairs):
-            lam[r] += mu * s * (1 - sign * re[G.index(t)]) * inv
+        for r, s in enumerate(problem.dual_sizes.tolist()):
+            lam[r] += mu * s * (1 - sign * int(re[r])) * inv
     else:
-        idx = [G.index(t) for t, _s in problem.dual_pairs]
-        sizes = np.array([s for _t, s in problem.dual_pairs], dtype=float)
-        lam += (mu / G.order) * sizes * (1.0 - sign * np.asarray(re)[idx])
+        lam += (mu / G.order) * problem.dual_sizes * (1.0 - sign * re)
 
 
 def _certificate_from_weights(problem: LPProblem, weights: dict):
@@ -196,25 +260,22 @@ def verify_dual_certificate(problem: LPProblem, row_weights,
     # weight vector laid out on the character side
     if exact:
         u = [0] * G.order
-        for r, (t, _s) in enumerate(problem.dual_pairs):
-            u[G.index(t)] = lam[r]
+        for r, i in enumerate(problem.dual_index.tolist()):
+            u[i] = lam[r]
         spread = dft_exact_signs(G, u)
         bad = 0
-        for q, (x, s) in enumerate(problem.pairs):
-            if s * spread[G.index(x)] + s != 0:
-                bad = max(bad, abs(s * spread[G.index(x)] + s))
+        for i, s in zip(problem.pair_index.tolist(), problem.sizes.tolist()):
+            bad = max(bad, abs(s * spread[i] + s))
         if bad != 0:
             raise CertificateInvalidError(f"row combination misses objective by {bad}")
         return Fraction(1) + sum(
             lam[r] * Fraction(float(problem.constants[r]))
             for r in range(problem.n_rows))
     u = np.zeros(G.order)
-    for r, (t, _s) in enumerate(problem.dual_pairs):
-        u[G.index(t)] = float(lam[r])
+    u[problem.dual_index] = np.asarray(lam, dtype=float)
     spread = _axis_transform(u, G.moduli, False).real
-    resid = 0.0
-    for q, (x, s) in enumerate(problem.pairs):
-        resid = max(resid, abs(s * spread[G.index(x)] + s))
+    s = problem.sizes
+    resid = float(np.abs(s * spread[problem.pair_index] + s).max(initial=0.0))
     if resid > tolerances.feasibility * max(1.0, float(G.order)):
         raise CertificateInvalidError(
             f"row combination misses objective by {resid:.3e}")
@@ -223,12 +284,11 @@ def verify_dual_certificate(problem: LPProblem, row_weights,
 
 def _embed(problem: LPProblem, y) -> np.ndarray:
     """Full value table of the even function with f(0)=1, f(+-x_q)=y_q."""
-    G = problem.group
-    vals = np.zeros(G.order)
+    vals = np.zeros(problem.group.order)
     vals[0] = 1.0
-    for q, (x, _s) in enumerate(problem.pairs):
-        vals[G.index(x)] = float(y[q])
-        vals[G.index(G.neg(x))] = float(y[q])
+    y = np.asarray(y, dtype=float)
+    vals[problem.pair_index] = y
+    vals[problem.pair_neg_index] = y
     return vals
 
 
@@ -281,7 +341,6 @@ def _solve_core(problem: LPProblem, tolerances: Tolerances,
         initial.append((p + q, e2, pos))
 
     offered: set[int] = set()
-    dual_idx = [G.index(t) for t, _s in problem.dual_pairs]
     row_cache: dict[int, np.ndarray] = {}
 
     def char_column(r: int) -> np.ndarray:
@@ -293,17 +352,18 @@ def _solve_core(problem: LPProblem, tolerances: Tolerances,
         if exact:
             fvals = [Fraction(0)] * G.order
             fvals[0] = Fraction(1)
-            for q, (x, _s) in enumerate(problem.pairs):
-                fvals[G.index(x)] = pi[q]
-                fvals[G.index(G.neg(x))] = pi[q]
+            for q, (i, j) in enumerate(zip(problem.pair_index.tolist(),
+                                           problem.pair_neg_index.tolist())):
+                fvals[i] = fvals[j] = pi[q]
             fhat = dft_exact_signs(G, fvals)
-            viol = [(consts[r] - 1 + fhat[dual_idx[r]], r)
-                    for r in range(problem.n_rows)
-                    if r not in offered and consts[r] - 1 + fhat[dual_idx[r]] < 0]
+            rc = [consts[r] - 1 + fhat[i]
+                  for r, i in enumerate(problem.dual_index.tolist())]
+            viol = [(rc[r], r) for r in range(problem.n_rows)
+                    if r not in offered and rc[r] < 0]
         else:
             fvals = _embed(problem, pi)
             fhat = _axis_transform(fvals, G.moduli, False).real
-            rc = np.asarray(consts) - 1.0 + fhat[dual_idx]
+            rc = np.asarray(consts) - 1.0 + fhat[problem.dual_index]
             viol = [(rc[r], int(r))
                     for r in np.flatnonzero(rc < -tolerances.feasibility)
                     if int(r) not in offered]
@@ -360,8 +420,7 @@ def solve_lp(problem: LPProblem, mode: str = "float",
     if want_exact and any(m not in (1, 2) for m in problem.group.moduli):
         raise ValueError("exact-rational mode needs every modulus in {1, 2}")
     if want_exact != problem.exact:
-        problem = LPProblem(problem.group, problem.domain, problem.pairs,
-                            problem.dual_pairs, problem.constants, want_exact)
+        problem = dataclasses.replace(problem, exact=want_exact)
     return _solve_core(problem, tolerances, pivot_cap)
 
 

@@ -1,6 +1,8 @@
 """End-to-end checks of the command line driver through main()."""
 
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -96,6 +98,28 @@ def test_turan_lattice_z_report(tmp_path, capsys):
     assert abs(float(by_method["torus-lp"]["value"]["decimal"]) - 3) <= 1e-6
     assert float(rep["best_lower"]["value"]["decimal"]) == pytest.approx(3)
     assert rep["tight"] is True
+
+
+# Z_100^2 is above the LP order cap, so the M = 100 torus solve ends
+# budget-exceeded while M = 6 gives the constant 2 of the plus shape
+PLUS_OVER_CAP = {"setting": "lattice-z", "dimension": 2,
+                 "domain": [[0, 0], [0, 1], [0, -1], [1, 0], [-1, 0]],
+                 "hints": {"M": [6, 100]}}
+
+
+def test_turan_lattice_z_budget_overrun_is_a_status(tmp_path, capsys):
+    code, out, err = run(capsys, "turan", problem(tmp_path, PLUS_OVER_CAP))
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert rep["budget_exhausted"] is True
+    assert rep["best_upper"]["method"] == "torus-lp"
+    assert rep["best_upper"]["value"]["decimal"] == "2"
+    schedule = rep["best_upper"]["certificate"]["schedule"]
+    assert [e["M"] for e in schedule] == [6, 100]
+    assert "status" not in schedule[0]
+    assert schedule[1]["status"] == "budget-exceeded"
+    code, out, _ = run(capsys, "turan", problem(tmp_path, EX_PLANE))
+    assert code == 0 and json.loads(out)["budget_exhausted"] is False
 
 
 PUNCTURED = {"setting": "real-line",
@@ -202,6 +226,14 @@ def test_verify_paper_table(capsys):
     assert code == 0
     assert "13/13 checks passed" in out
     assert "FAIL" not in out
+
+
+def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["turanlab", "verify-paper"])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("turanlab", run_name="__main__")
+    assert stop.value.code == 0
+    assert "13/13 checks passed" in capsys.readouterr().out
 
 
 def test_invalid_packing_hint_is_skipped(tmp_path, capsys):

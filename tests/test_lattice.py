@@ -89,6 +89,21 @@ def test_upper_bound_z_even_omega_closed_form():
         assert rep.as_float() == pytest.approx(closed, abs=1e-6), f"n={n}"
 
 
+def test_upper_bound_z_budget_overrun_keeps_valid_bounds():
+    plus = lattice_domain(2, [(0, 0), (0, 1), (0, -1), (1, 0), (-1, 0)])
+    rep = upper_bound_z(plus, [6, 100])  # Z_100^2 is above the order cap
+    assert rep.as_float() == pytest.approx(2.0, abs=1e-6)
+    assert rep.certificate["budget_exhausted"] is True
+    first, second = rep.certificate["schedule"]
+    assert set(first) == {"M", "value", "running_min"}
+    assert second["status"] == "budget-exceeded"
+    assert second["value"] == 5.0 and second["running_min"] == rep.value
+    # a schedule that solves optimally throughout carries no overrun keys
+    ok = upper_bound_z(plus, [6])
+    assert set(ok.certificate) == {"schedule"}
+    assert set(ok.certificate["schedule"][0]) == {"M", "value", "running_min"}
+
+
 def test_explicit_witness_omega_N():
     for n in (1, 2, 3):
         wit = explicit_witness_omega_N(n)

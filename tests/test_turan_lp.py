@@ -273,3 +273,64 @@ def test_order_cap_falls_back_to_trivial_bracket():
     assert sol.value == 3.0
     assert sol.f((0,)) == 1.0 and sol.f.total() == 1.0
     assert "over cap" in sol.diagnostics["reason"]
+
+
+def _random_lp_group(rng):
+    """Small product groups over moduli {2, 3, 4, 5, 6, 12}."""
+    if rng.random() < 0.3:
+        return make_group([2] * rng.randint(1, 9))
+    moduli = []
+    order = 1
+    for _ in range(rng.randint(1, 4)):
+        m = rng.choice([2, 3, 4, 5, 6, 12])
+        if order * m > 720:
+            break
+        moduli.append(m)
+        order *= m
+    return make_group(moduli or [rng.choice([2, 3, 4, 5, 6, 12])])
+
+
+def _random_domain(rng, G, pairs):
+    nonzero = [x for x in G.elements() if x != G.identity()]
+    elems = {G.identity()}
+    for x in rng.sample(nonzero, min(len(nonzero), pairs)):
+        elems.add(x)
+        elems.add(G.neg(x))
+    return symmetric_domain(G, elems)
+
+
+def test_rows_match_transform_of_a_delta():
+    rng = random.Random(90405)
+    for case in range(80):
+        G = _random_lp_group(rng)
+        prob = build_lp_problem(G, _random_domain(rng, G, rng.randint(1, 8)))
+        assert prob.dual_pairs == [(G.identity(), 1)] + \
+            G.pair_representatives(G.elements())
+        quarter = all(m in (1, 2, 4) for m in G.moduli)
+        for r, (t, _s) in enumerate(prob.dual_pairs):
+            re = tl.dft(tl.from_dict(G, {t: 1.0})).values.real
+            want = np.array([s * re[G.index(x)] for x, s in prob.pairs])
+            got = prob.row(r)
+            if quarter:
+                # bit for bit; adding 0.0 only merges the two signed zeros
+                assert (got + 0.0).tobytes() == (want + 0.0).tobytes(), \
+                    f"case {case}: {G.moduli} row {r}"
+            else:
+                assert np.abs(got - want).max(initial=0.0) <= 1e-12, \
+                    f"case {case}: {G.moduli} row {r}"
+
+
+def test_exact_rows_match_sign_transform():
+    rng = random.Random(90406)
+    for case in range(40):
+        G = make_group([2] * rng.randint(1, 8) + [1] * rng.randint(0, 1))
+        prob = build_lp_problem(G, _random_domain(rng, G, rng.randint(1, 6)),
+                                exact=True)
+        for r, (t, _s) in enumerate(prob.dual_pairs):
+            delta = [0] * G.order
+            delta[G.index(t)] = 1
+            re = tl.dft_exact_signs(G, delta)
+            want = [Fraction(s) * re[G.index(x)] for x, s in prob.pairs]
+            got = list(prob.row(r))
+            assert got == want, f"case {case}: {G.moduli} row {r}"
+            assert all(isinstance(v, Fraction) for v in got)
