@@ -44,11 +44,6 @@ class LatticeDomain:
     def m(self) -> int:
         return len(self.elements)
 
-    @property
-    def m_plus(self) -> int:
-        """Points in the closed upper half (first coordinate >= 0)."""
-        return sum(1 for x in self.elements if x[0] >= 0)
-
     def sorted_elements(self) -> list[Point]:
         return sorted(self.elements)
 
@@ -355,7 +350,7 @@ def greedy_packing_window(domain: LatticeDomain, L: int) -> GreedyRun:
     not yet covered is selected and its forward shadow p + Omega+ marked,
     where Omega+ is the closed upper half of the domain. Each selection
     covers at most |Omega+| window points, giving the floor
-    |window| / m_plus; and differences of selections always fall outside
+    |window| / |Omega+|; and differences of selections always fall outside
     the domain, because a later selection inside an earlier shadow is
     impossible and the scan order rules out the mirrored case.
     """

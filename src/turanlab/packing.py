@@ -37,6 +37,7 @@ class PackingSet:
     elements: tuple[Element, ...]
     verified: bool
     maximality: str  # PROVEN_MAX or GREEDY_ONLY
+    nodes: int = 0   # branch-and-bound nodes visited (0: greedy only)
 
     @property
     def size(self) -> int:
@@ -171,6 +172,8 @@ def max_packing_set(group: FiniteAbelianGroup, domain: SymmetricDomain,
     greedy set improved by local swaps, flagged greedy-only. Budget
     exhaustion mid-search keeps the best set found so far (still a valid
     packing, so still usable for bounds) with the greedy-only flag.
+    ``nodes`` counts the search nodes visited, the one that hit the node
+    budget included; it is 0 when no search ran.
     """
     n = group.order
     masks = _CayleyMasks(group, domain)
@@ -182,7 +185,7 @@ def max_packing_set(group: FiniteAbelianGroup, domain: SymmetricDomain,
     if n > EXACT_SEARCH_VERTEX_CAP:
         improved = _swap_improve(masks, greedy, deadline)
         elems = tuple(group.element(v) for v in improved)
-        return PackingSet(group, elems, True, GREEDY_ONLY)
+        return PackingSet(group, elems, True, GREEDY_ONLY, nodes=0)
 
     nodes = 0
     exhausted = False
@@ -217,7 +220,7 @@ def max_packing_set(group: FiniteAbelianGroup, domain: SymmetricDomain,
 
     elems = tuple(group.element(v) for v in best)
     flag = GREEDY_ONLY if exhausted else PROVEN_MAX
-    return PackingSet(group, elems, True, flag)
+    return PackingSet(group, elems, True, flag, nodes=nodes)
 
 
 def check_tiling(group: FiniteAbelianGroup, H, lam) -> tuple[bool, int | None]:

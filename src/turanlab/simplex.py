@@ -9,6 +9,18 @@ pricing callback. The basis inverse is maintained explicitly; it is a
 p x p matrix where p is the number of equality rows, so the numerics stay
 well conditioned regardless of how many columns the caller generates.
 
+All state lives in numpy arrays, on one code path for float mode and
+exact mode (``object`` arrays of Fractions):
+    working set  a preallocated p x capacity matrix, with ``ids`` and
+                 ``costs`` arrays beside it. The first n slots are in use
+                 and the capacity doubles when they fill up, so adding a
+                 column copies only that column; the loop reads the
+                 matrix and the costs as views of the used slots.
+    basis        the basic column ids and their costs ``cB``, both
+                 overwritten at the leaving position on each pivot. The
+                 multipliers are ``cB @ Binv``; the objective is the
+                 left-to-right running sum of ``cB * xB``.
+
 Pivoting: Dantzig entering with a largest-pivot tie-break by default;
 Bland's anti-cycling rule (lowest column id) takes over after a stall and
 is the permanent rule in exact (Fraction) mode, where every comparison is
@@ -46,33 +58,50 @@ class ColumnLPResult:
 
 
 class _Working:
-    """Growing working set of columns (id, vector, cost)."""
+    """Growing working set of columns (id, vector, cost).
 
-    def __init__(self, p: int, exact: bool):
-        self.p = p
-        self.exact = exact
-        self.ids: list[int] = []
-        self.cols: list = []
-        self.costs: list = []
+    Slots ``0 .. n-1`` of the preallocated arrays hold the columns in
+    arrival order; a full set doubles its capacity.
+    """
+
+    def __init__(self, p: int, dtype, capacity: int):
+        self.n = 0
         self.pos_of: dict[int, int] = {}
-        self._mat = None
+        self._mat = np.empty((p, capacity), dtype=dtype)
+        self._ids = np.empty(capacity, dtype=np.int64)
+        self._costs = np.empty(capacity, dtype=dtype)
 
     def add(self, cid: int, vec, cost):
         if cid in self.pos_of:
             return
-        self.pos_of[cid] = len(self.ids)
-        self.ids.append(cid)
-        self.cols.append(np.asarray(vec, dtype=object if self.exact else float))
-        self.costs.append(cost)
-        self._mat = None
+        n = self.n
+        if n == len(self._ids):
+            self._mat, self._ids, self._costs = (
+                self._grown(a) for a in (self._mat, self._ids, self._costs))
+        self._mat[:, n] = vec
+        self._ids[n] = cid
+        self._costs[n] = cost
+        self.pos_of[cid] = n
+        self.n = n + 1
 
-    def matrix(self):
-        if self._mat is None:
-            dt = object if self.exact else float
-            self._mat = np.empty((self.p, len(self.cols)), dtype=dt)
-            for j, v in enumerate(self.cols):
-                self._mat[:, j] = v
-        return self._mat
+    def _grown(self, a: np.ndarray) -> np.ndarray:
+        out = np.empty(a.shape[:-1] + (2 * a.shape[-1],), dtype=a.dtype)
+        out[..., :self.n] = a[..., :self.n]
+        return out
+
+    def matrix(self) -> np.ndarray:
+        return self._mat[:, :self.n]
+
+    def column(self, pos: int) -> np.ndarray:
+        return self._mat[:, pos]
+
+    @property
+    def ids(self) -> np.ndarray:
+        return self._ids[:self.n]
+
+    @property
+    def costs(self) -> np.ndarray:
+        return self._costs[:self.n]
 
 
 class SingularBasisError(RuntimeError):
@@ -100,19 +129,20 @@ def solve_column_lp(
         pivot_tol = Fraction(0)
     dt = object if exact else float
 
-    work = _Working(p, exact)
+    work = _Working(p, dt, max(16, 2 * len(initial_columns)))
     for cid, vec, cost in initial_columns:
         work.add(cid, vec, cost)
 
     # starting basis: for each row q a signed unit column matching sgn(w_q)
-    basis: list[int] = []
+    basis = np.empty(p, dtype=np.int64)
+    cB = np.empty(p, dtype=dt)
     Binv = np.zeros((p, p), dtype=dt)
     xB = np.empty(p, dtype=dt)
     for q in range(p):
         want = -one if w[q] < zero else one
         if start_basis is not None:
             cid = start_basis[q]
-            vec = work.cols[work.pos_of[cid]]
+            vec = work.column(work.pos_of[cid])
         else:
             cid = None
             for c, vec0, _cost in initial_columns:
@@ -124,7 +154,8 @@ def solve_column_lp(
                 raise ValueError(f"no signed unit starting column for row {q}")
         if vec[q] != want:
             raise ValueError(f"start column for row {q} is not the signed unit")
-        basis.append(cid)
+        basis[q] = cid
+        cB[q] = work.costs[work.pos_of[cid]]
         Binv[q, q] = want
         xB[q] = w[q] * want
     for q in range(p):
@@ -132,8 +163,6 @@ def solve_column_lp(
             xB[q] = Fraction(xB[q])
         if xB[q] < zero:
             raise ValueError("starting basis is infeasible")
-
-    costs_by_id = {cid: cost for cid, _vec, cost in initial_columns}
 
     pivots = 0
     bland_pivots = 0
@@ -143,82 +172,71 @@ def solve_column_lp(
     last_obj = None
 
     def objective():
-        return sum(costs_by_id[basis[i]] * xB[i] for i in range(p))
+        # the running sum adds the products left to right, like a loop
+        return np.cumsum(cB * xB)[-1] if p else zero
 
-    def multipliers():
-        cB = np.array([costs_by_id[b] for b in basis], dtype=dt)
-        return cB @ Binv
+    def weights():
+        return {b: x for b, x in zip(basis.tolist(), xB) if x != zero}
+
+    def diagnostics(**extra):
+        return {**extra, "bland_pivots": bland_pivots,
+                "pricing_rounds": pricing_rounds, "columns": work.n}
 
     while True:
-        pi = multipliers()
-        mat = work.matrix()
-        costs = np.array(work.costs, dtype=dt)
-        rc = costs - pi @ mat
+        pi = cB @ Binv
+        rc = work.costs - pi @ work.matrix()
         if bland:
-            enter_pos = -1
-            for j in sorted(range(len(work.ids)), key=lambda j: work.ids[j]):
-                if rc[j] < -entering_tol:
-                    enter_pos = j
-                    break
+            cand = (rc < -entering_tol).nonzero()[0]
+            enter = int(cand[work.ids[cand].argmin()]) if len(cand) else -1
         else:
-            j = int(np.argmin(rc))
-            enter_pos = j if rc[j] < -entering_tol else -1
-        if enter_pos < 0:
+            enter = int(rc.argmin())
+            if not rc[enter] < -entering_tol:
+                enter = -1
+        if enter < 0:
             pricing_rounds += 1
             fresh = price(pi)
             if not fresh:
-                lam = {basis[i]: xB[i] for i in range(p) if xB[i] != zero}
-                return ColumnLPResult(
-                    "optimal", objective(), pi, lam, pivots,
-                    {"bland_pivots": bland_pivots, "pricing_rounds": pricing_rounds,
-                     "columns": len(work.ids)})
+                return ColumnLPResult("optimal", objective(), pi, weights(),
+                                      pivots, diagnostics())
             for cid, vec, cost in fresh:
                 work.add(cid, vec, cost)
-                costs_by_id[cid] = cost
             continue
 
         if pivots >= pivot_cap:
-            lam = {basis[i]: xB[i] for i in range(p) if xB[i] != zero}
-            return ColumnLPResult(
-                "budget-exceeded", objective(), multipliers(), lam, pivots,
-                {"bland_pivots": bland_pivots, "pricing_rounds": pricing_rounds,
-                 "columns": len(work.ids)})
+            return ColumnLPResult("budget-exceeded", objective(), pi, weights(),
+                                  pivots, diagnostics())
 
-        enter_id = work.ids[enter_pos]
-        d = Binv @ work.cols[enter_pos].astype(dt)
-        eligible = [i for i in range(p) if d[i] > pivot_tol]
-        if not eligible:
-            return ColumnLPResult(
-                "infeasible", None, None, {}, pivots,
-                {"entering": enter_id, "bland_pivots": bland_pivots,
-                 "pricing_rounds": pricing_rounds, "columns": len(work.ids)})
-        ratios = {i: xB[i] / d[i] for i in eligible}
-        rmin = min(ratios.values())
+        d = Binv @ work.column(enter)
+        eligible = (d > pivot_tol).nonzero()[0]
+        if not len(eligible):
+            return ColumnLPResult("infeasible", None, None, {}, pivots,
+                                  diagnostics(entering=int(work.ids[enter])))
+        ratios = xB[eligible] / d[eligible]
+        rmin = ratios.min()
         if exact:
-            ties = [i for i in eligible if ratios[i] == rmin]
+            ties = eligible[ratios == rmin]
         else:
-            window = rmin * (1 + 1e-9) + 1e-15
-            ties = [i for i in eligible if ratios[i] <= window]
-        if bland or exact:
-            leave = min(ties, key=lambda i: basis[i])
+            ties = eligible[ratios <= rmin * (1 + 1e-9) + 1e-15]
+        if bland:
+            leave = int(ties[basis[ties].argmin()])
         else:
-            leave = max(ties, key=lambda i: (abs(d[i]), -basis[i]))
+            # largest |d|, then the lowest basis id
+            size = np.abs(d[ties])
+            top = ties[size == size.max()]
+            leave = int(top[basis[top].argmin()])
 
-        # pivot: replace basis[leave] by enter_id
-        theta = ratios[leave]
-        if exact:
-            xB = xB - d * theta
-        else:
-            xB = xB - d * theta
+        # pivot: replace basis[leave] by the entering column
+        theta = xB[leave] / d[leave]
+        xB -= d * theta
+        if not exact:
             xB[np.abs(xB) < 1e-13] = 0.0
             np.maximum(xB, 0.0, out=xB)
         xB[leave] = theta
-        piv = d[leave]
-        Binv[leave, :] = Binv[leave, :] / piv
-        dcol = d.copy()
-        dcol[leave] = zero
-        Binv = Binv - np.outer(dcol, Binv[leave, :])
-        basis[leave] = enter_id
+        Binv[leave] /= d[leave]
+        d[leave] = zero
+        Binv -= np.multiply.outer(d, Binv[leave])
+        basis[leave] = work.ids[enter]
+        cB[leave] = work.costs[enter]
         pivots += 1
         if bland:
             bland_pivots += 1

@@ -340,7 +340,9 @@ def _solve_core(problem: LPProblem, tolerances: Tolerances,
         e2[q] = -pos
         initial.append((p + q, e2, pos))
 
-    offered: set[int] = set()
+    consts_arr = np.array(consts, dtype=object if exact else float)
+    tol = 0 if exact else tolerances.feasibility
+    offered = np.zeros(problem.n_rows, dtype=bool)
     row_cache: dict[int, np.ndarray] = {}
 
     def char_column(r: int) -> np.ndarray:
@@ -355,24 +357,16 @@ def _solve_core(problem: LPProblem, tolerances: Tolerances,
             for q, (i, j) in enumerate(zip(problem.pair_index.tolist(),
                                            problem.pair_neg_index.tolist())):
                 fvals[i] = fvals[j] = pi[q]
-            fhat = dft_exact_signs(G, fvals)
-            rc = [consts[r] - 1 + fhat[i]
-                  for r, i in enumerate(problem.dual_index.tolist())]
-            viol = [(rc[r], r) for r in range(problem.n_rows)
-                    if r not in offered and rc[r] < 0]
+            fhat = np.array(dft_exact_signs(G, fvals), dtype=object)
         else:
-            fvals = _embed(problem, pi)
-            fhat = _axis_transform(fvals, G.moduli, False).real
-            rc = np.asarray(consts) - 1.0 + fhat[problem.dual_index]
-            viol = [(rc[r], int(r))
-                    for r in np.flatnonzero(rc < -tolerances.feasibility)
-                    if int(r) not in offered]
-        viol.sort(key=lambda t: (t[0], t[1]))
-        out = []
-        for _rc, r in viol[:32]:
-            offered.add(r)
-            out.append((2 * p + r, char_column(r), consts[r]))
-        return out
+            fhat = _axis_transform(_embed(problem, pi), G.moduli, False).real
+        rc = consts_arr - 1 + fhat[problem.dual_index]
+        # violated rows not offered yet, by (rc, r): a stable sort of the
+        # ascending candidate indices breaks rc ties by the lower row
+        cand = np.flatnonzero((rc < -tol) & ~offered)
+        take = cand[np.argsort(rc[cand], kind="stable")][:32]
+        offered[take] = True
+        return [(2 * p + r, char_column(r), consts[r]) for r in take.tolist()]
 
     start = list(range(p))  # every weight is positive, so box+ columns
     try:
@@ -385,7 +379,7 @@ def _solve_core(problem: LPProblem, tolerances: Tolerances,
         # deterministic tiny perturbation of the objective, then re-solve;
         # the certificate check against the unperturbed data still applies
         wp = np.array([w[q] * (1.0 + 1e-9 * (q + 1) / p) for q in range(p)])
-        offered.clear()
+        offered[:] = False
         res = solve_column_lp(
             wp, initial, price, exact=False,
             entering_tol=tolerances.feasibility,

@@ -6,6 +6,10 @@ a plain function taking a case count and a seed and raising
 AssertionError on the first violated invariant, so a failure pins the
 case index and the group that produced it.
 
+Both gates call ``run_suite``, which runs each (suite, cases) once per
+test session and replays its outcome, pass or the AssertionError, to the
+other gate.
+
 Group shapes are drawn uniformly from all products of cyclic factors
 with order at most 64 (16 for the brute-force oracle suite, where the
 oracle builds a full Gram matrix).
@@ -283,3 +287,21 @@ ALL_SUITES = [
     ("transform-round-trips", suite_transform_round_trips),
     ("pd-oracle-agreement", suite_pd_oracle_agreement),
 ]
+
+
+# (suite, cases) -> None for a pass, else the AssertionError it raised
+_OUTCOMES: dict = {}
+
+
+def run_suite(suite, cases: int = 1000) -> None:
+    """Run ``suite(cases=cases)`` once per session; later calls re-raise
+    the first run's AssertionError, or pass if it passed."""
+    key = (suite, cases)
+    if key not in _OUTCOMES:
+        try:
+            suite(cases=cases)
+            _OUTCOMES[key] = None
+        except AssertionError as exc:
+            _OUTCOMES[key] = exc
+    if _OUTCOMES[key] is not None:
+        raise _OUTCOMES[key]

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import turanlab as tl
 from conftest import record
-from property_suites import ALL_SUITES
+from property_suites import ALL_SUITES, run_suite
 
 
 @dataclass
@@ -198,7 +198,7 @@ def test_check_09_property_suites():
     with scored("09 randomized invariant suites") as s:
         done = 0
         for _, suite in ALL_SUITES:
-            suite(cases=1000)
+            run_suite(suite, cases=1000)
             done += 1
         s.ok = done == len(ALL_SUITES)
         s.detail = f"{done} suites x 1000 cases"

@@ -124,6 +124,22 @@ def test_oversize_group_takes_greedy_path(monkeypatch):
     assert ok
 
 
+def test_search_reports_its_node_count(monkeypatch):
+    G = make_group([12])
+    dom = symmetric_domain(G, [0, 1, 11])
+    full = max_packing_set(G, dom)
+    assert full.maximality == PROVEN_MAX
+    assert full.nodes > 0
+    for limit in (1, full.nodes // 2, full.nodes - 1):
+        cut = max_packing_set(G, dom, SearchBudget(node_limit=limit))
+        assert cut.maximality == GREEDY_ONLY
+        assert 0 < cut.nodes <= limit + 1
+    # above the vertex cap no search runs at all
+    import turanlab.packing as packing
+    monkeypatch.setattr(packing, "EXACT_SEARCH_VERTEX_CAP", 8)
+    assert max_packing_set(G, dom).nodes == 0
+
+
 def test_check_tiling_hand_cases():
     G8 = make_group([8])
     assert check_tiling(G8, [0, 1, 4, 5], [0, 2]) == (True, 1)

@@ -2,10 +2,10 @@
 
 import pytest
 
-from property_suites import ALL_SUITES
+from property_suites import ALL_SUITES, run_suite
 
 
 @pytest.mark.parametrize("name,suite", ALL_SUITES,
                          ids=[name for name, _ in ALL_SUITES])
 def test_invariant_suite(name, suite):
-    suite(cases=1000)
+    run_suite(suite, cases=1000)

@@ -10,6 +10,7 @@ feasible vertex.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -195,3 +196,78 @@ def test_lazy_pricing_receives_multipliers():
     assert seen, "pricing callback never ran"
     assert res.objective == pytest.approx(0.5)
     assert res.weights == {200: pytest.approx(1.0)}
+
+
+def _circle_columns(k, exact):
+    """k unit-cost columns at rational points near the unit circle."""
+    num = Fraction if exact else float
+    cols = []
+    for j in range(k):
+        a = 2 * math.pi * j / k
+        vec = [num(Fraction(round(64 * math.cos(a)), 64)),
+               num(Fraction(round(64 * math.sin(a)), 64))]
+        cols.append((100 + j, vec, num(1)))
+    return cols
+
+
+def test_working_set_grows_over_pricing_rounds(monkeypatch):
+    """One column per round, the least violated first, so that many rounds
+    pass and the working set outgrows its first allocation."""
+    import turanlab.simplex as simplex
+
+    grown = []
+    real_grown = simplex._Working._grown
+
+    def spy(self, a):
+        grown.append(a.shape[-1])
+        return real_grown(self, a)
+
+    monkeypatch.setattr(simplex._Working, "_grown", spy)
+    w_exact = [Fraction(1), Fraction(3, 10)]
+    want = _dual_vertex_oracle(w_exact,
+                               _unit_columns(2) + _circle_columns(96, True))
+    for exact in (False, True):
+        pool = _circle_columns(96, exact)
+        num = Fraction if exact else float
+        unit = [(c, [num(v) for v in vec], num(1)) for c, vec, _ in _unit_columns(2)]
+        offered = set()
+
+        def price(pi):
+            viol = [(cost - sum(v * y for v, y in zip(vec, pi)), cid, vec, cost)
+                    for cid, vec, cost in pool if cid not in offered]
+            viol = [t for t in viol if t[0] < 0]
+            if not viol:
+                return []
+            _rc, cid, vec, cost = max(viol)
+            offered.add(cid)
+            return [(cid, vec, cost)]
+
+        grown.clear()
+        w = w_exact if exact else np.array([float(v) for v in w_exact])
+        res = solve_column_lp(w, unit, price, exact=exact)
+        assert res.status == "optimal"
+        assert grown, "the working set never outgrew its first allocation"
+        assert res.diagnostics["pricing_rounds"] > 16
+        if exact:
+            assert res.objective == want
+        else:
+            assert abs(res.objective - float(want)) <= 1e-9
+        _check_primal(res, w, unit + pool, 0 if exact else 1e-9)
+
+
+def test_bland_enters_lowest_id_among_negative_reduced_costs():
+    # at the start pi = [1]: reduced costs -6 (id 50), -2 (id 30) and
+    # -0.5 (id 20), so Dantzig takes id 50 and Bland id 20, which is
+    # neither first in arrival order nor the most negative
+    def columns(num):
+        return [(0, [num(1)], num(1)), (1, [num(-1)], num(1)),
+                (50, [num(1)], num(-5)), (30, [num(1)], num(-1)),
+                (20, [num(1)], num(1) / 2)]
+
+    bland = solve_column_lp([Fraction(1)], columns(Fraction), lambda pi: [],
+                            exact=True, pivot_cap=1)
+    assert bland.status == "budget-exceeded"
+    assert bland.weights == {20: 1}
+    dantzig = solve_column_lp(np.array([1.0]), columns(float), lambda pi: [],
+                              pivot_cap=1)
+    assert dantzig.weights == {50: 1.0}

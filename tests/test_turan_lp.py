@@ -334,3 +334,101 @@ def test_exact_rows_match_sign_transform():
             got = list(prob.row(r))
             assert got == want, f"case {case}: {G.moduli} row {r}"
             assert all(isinstance(v, Fraction) for v in got)
+
+
+def _hh_domain(k):
+    G = make_group([2] * k)
+    return G, tl.difference_set(G, [tuple(int(i == j) for j in range(k))
+                                    for i in range(k)])
+
+
+def _record_pricing(monkeypatch):
+    """Wrap the price callback that the solver hands to the simplex; the
+    list collects (pi, offered rows) per call."""
+    from turanlab import turan_lp
+
+    calls = []
+    real = turan_lp.solve_column_lp
+
+    def spy(w, initial, price, **kwargs):
+        p = len(w)
+
+        def recording(pi):
+            out = price(pi)
+            calls.append((np.array(pi), [cid - 2 * p for cid, _v, _c in out]))
+            return out
+
+        return real(w, initial, recording, **kwargs)
+
+    monkeypatch.setattr(turan_lp, "solve_column_lp", spy)
+    return calls
+
+
+@pytest.mark.parametrize("k,mode", [(8, "float"), (6, "exact-rational")])
+def test_price_offers_rows_once_in_rc_order(monkeypatch, k, mode):
+    """Each round offers the not yet offered violated rows by (rc, r),
+    at most 32; rc is recomputed here as 1 + row . pi. Exact mode checks
+    the order exactly, ties included; float mode within rounding."""
+    calls = _record_pricing(monkeypatch)
+    G, dom = _hh_domain(k)
+    exact = mode == "exact-rational"
+    prob = build_lp_problem(G, dom, exact=exact)
+    sol = solve_lp(prob, mode)
+    assert sol.status == "optimal" and sol.value == pytest.approx(k)
+    tol = 0 if exact else 1e-9
+    seen: set[int] = set()
+    capped = False
+    for pi, rows in calls:
+        assert len(rows) <= 32
+        assert not seen & set(rows), "a row was offered twice"
+        rc = [1 + np.dot(prob.row(r), pi) for r in range(prob.n_rows)]
+        cand = sorted((rc[r], r) for r in range(prob.n_rows)
+                      if r not in seen and rc[r] < -tol)
+        assert len(rows) == min(32, len(cand))
+        capped |= len(cand) > 32
+        if exact:
+            assert rows == [r for _rc, r in cand[:32]]
+        else:
+            got = [rc[r] for r in rows]
+            assert all(a <= b + 1e-11 for a, b in zip(got, got[1:]))
+            rest = [v for v, r in cand if r not in rows]
+            assert not rest or max(got) <= min(rest) + 1e-11
+        seen.update(rows)
+    assert calls[-1][1] == []
+    if not exact:
+        assert capped, "no round had more than 32 violated rows"
+
+
+def test_singular_basis_restart_offers_rows_again(monkeypatch):
+    """A forced SingularBasisError after the first pricing round: the
+    perturbed re-solve must start with no row marked offered, or the rows
+    that round offered would never come back and the value would rise."""
+    from turanlab import turan_lp
+    from turanlab.simplex import SingularBasisError
+
+    # the first round offers every violated row, so a re-solve that kept
+    # them marked would stop at its first pricing round, far above 6
+    G, dom = _hh_domain(6)
+    plain = turan_constant(G, dom)
+    real = turan_lp.solve_column_lp
+    attempts = []
+
+    def flaky(w, initial, price, **kwargs):
+        attempts.append(len(attempts))
+        if len(attempts) > 1:
+            return real(w, initial, price, **kwargs)
+
+        def price_then_fail(pi):
+            assert price(pi), "the first round offers rows"
+            raise SingularBasisError("forced")
+
+        return real(w, initial, price_then_fail, **kwargs)
+
+    monkeypatch.setattr(turan_lp, "solve_column_lp", flaky)
+    forced = turan_constant(G, dom)
+    assert len(attempts) == 2
+    assert forced.status == "optimal"
+    assert forced.diagnostics["perturbed_restarts"] == 1
+    assert plain.diagnostics["perturbed_restarts"] == 0
+    assert abs(forced.value - plain.value) <= 1e-6
+    assert forced.value == pytest.approx(6.0, abs=1e-6)
