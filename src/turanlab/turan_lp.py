@@ -326,10 +326,11 @@ def _solve_core(problem: LPProblem, tolerances: Tolerances,
     w = problem.weight_vector()
     if exact:
         pos = Fraction(1)
-        consts = [Fraction(float(c)) for c in problem.constants]
+        consts = np.array([Fraction(float(c)) for c in problem.constants],
+                          dtype=object)
     else:
         pos = 1.0
-        consts = [float(c) for c in problem.constants]
+        consts = np.asarray(problem.constants, dtype=float)
 
     initial = []
     for q in range(p):
@@ -340,7 +341,6 @@ def _solve_core(problem: LPProblem, tolerances: Tolerances,
         e2[q] = -pos
         initial.append((p + q, e2, pos))
 
-    consts_arr = np.array(consts, dtype=object if exact else float)
     tol = 0 if exact else tolerances.feasibility
     offered = np.zeros(problem.n_rows, dtype=bool)
     row_cache: dict[int, np.ndarray] = {}
@@ -360,7 +360,7 @@ def _solve_core(problem: LPProblem, tolerances: Tolerances,
             fhat = np.array(dft_exact_signs(G, fvals), dtype=object)
         else:
             fhat = _axis_transform(_embed(problem, pi), G.moduli, False).real
-        rc = consts_arr - 1 + fhat[problem.dual_index]
+        rc = consts - 1 + fhat[problem.dual_index]
         # violated rows not offered yet, by (rc, r): a stable sort of the
         # ascending candidate indices breaks rc ties by the lower row
         cand = np.flatnonzero((rc < -tol) & ~offered)
