@@ -33,6 +33,22 @@ def best_upper(reports) -> BoundReport | None:
     return min(ups, key=lambda r: (r.as_float(), r.method)) if ups else None
 
 
+def rank_reports(reports) -> list[BoundReport]:
+    """Uppers by (value, method), then lowers by (-value, method).
+
+    The best upper bound gets certificate["minimum"] = True, and only it.
+    """
+    for r in reports:
+        r.certificate.pop("minimum", None)
+    uppers = sorted((r for r in reports if r.direction == "upper"),
+                    key=lambda r: (r.as_float(), r.method))
+    lowers = sorted((r for r in reports if r.direction == "lower"),
+                    key=lambda r: (-r.as_float(), r.method))
+    if uppers:
+        uppers[0].certificate["minimum"] = True
+    return uppers + lowers
+
+
 def best_lower(reports) -> BoundReport | None:
     los = [r for r in reports if r.direction == "lower"]
     return max(los, key=lambda r: (r.as_float(), r.method)) if los else None

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -29,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .bounds import BoundReport, best_lower, best_upper
+from .bounds import BoundReport, best_lower, best_upper, rank_reports
 from .config import (DEFAULT_BUDGET, DEFAULT_TOLERANCES, LP_GROUP_ORDER_CAP,
                      SearchBudget, Tolerances)
 from .errors import TuranError
@@ -236,21 +235,6 @@ def _resolve_budget(doc: dict, args) -> SearchBudget:
     return SearchBudget(nodes, limit)
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise SpecError("--threads must be at least 1")
-        return args.threads
-    env = os.environ.get("TURANLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise SpecError(f"TURANLAB_THREADS must be an integer, "
-                            f"got {env!r}") from None
-    return os.cpu_count() or 1
-
-
 def _rat_field(value, where: str) -> Fraction:
     # exactness must survive serialization: floats are refused here
     if isinstance(value, bool) or isinstance(value, float):
@@ -264,18 +248,6 @@ def _rat_field(value, where: str) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # the turan subcommand
-
-
-def _rank(reports: list[BoundReport]) -> list[BoundReport]:
-    for r in reports:
-        r.certificate.pop("minimum", None)
-    uppers = sorted((r for r in reports if r.direction == "upper"),
-                    key=lambda r: (r.as_float(), r.method))
-    lowers = sorted((r for r in reports if r.direction == "lower"),
-                    key=lambda r: (-r.as_float(), r.method))
-    if uppers:
-        uppers[0].certificate["minimum"] = True
-    return uppers + lowers
 
 
 def _run_finite_group(doc, tol, budget):
@@ -308,7 +280,7 @@ def _run_finite_group(doc, tol, budget):
         if sol.status == "optimal" and sol.exact_value is not None:
             reports.append(BoundReport(sol.exact_value, "lp-exact", "upper",
                                        {"solution": sol}))
-    reports = _rank(reports)
+    reports = rank_reports(reports)
     exhausted = group.order > LP_GROUP_ORDER_CAP or any(
         r.method == "packing"
         and r.certificate.get("maximality") == GREEDY_ONLY
@@ -341,7 +313,8 @@ def _run_lattice_z(doc, tol, budget):
         reports.append(density_bound_zd(domain, lam))
     if "H" in hints:
         reports.append(witness_zd(_domain_elements(hints["H"]), domain))
-    return _rank(reports), torus.certificate.get("budget_exhausted", False)
+    exhausted = torus.certificate.get("budget_exhausted", False)
+    return rank_reports(reports), exhausted
 
 
 def _run_real_line(doc, tol, budget):
@@ -368,7 +341,7 @@ def _run_real_line(doc, tol, budget):
                            [_rat_field(x, f"hints.tents[{i}].D")
                             for x in t["D"]])
         reports.append(witness_in_domain(train, domain))
-    return _rank(reports), False
+    return rank_reports(reports), False
 
 
 _RUNNERS = {"finite-group": _run_finite_group,
@@ -393,7 +366,6 @@ def cmd_turan(args) -> int:
             f"upper {_decimal(up.value)}")
     report = {
         "tool": f"turanlab {__version__}",
-        "threads": _threads(args),
         "problem": doc,
         "bounds": [_bound_dict(r) for r in reports],
         "best_upper": None if up is None else _bound_dict(up),
@@ -411,7 +383,7 @@ def cmd_turan(args) -> int:
 
 
 def _print_run_table(report: dict) -> None:
-    print(f"{report['tool']}  threads={report['threads']}")
+    print(report["tool"])
     print(f"{'direction':<10}{'method':<20}{'value':<18}rational")
     for b in report["bounds"]:
         rat = b["value"]["rational"] or "-"
@@ -740,10 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="turanlab",
                 description="Bounds for extremal positive definite "
                             "functions with prescribed support.")
-    p.add_argument("--threads", type=int, default=None, metavar="N",
-                   help="worker count recorded in reports; falls back to "
-                        "TURANLAB_THREADS, then machine cores (the current "
-                        "solvers run sequentially)")
     p.add_argument("--tol", type=float, default=None, metavar="X",
                    help="reporting tolerance; the feasibility and gap "
                         "tolerances scale with it")

@@ -5,11 +5,13 @@ The transform is the dense character sum
     fhat(t) = sum_x f(x) * conj(gamma_t(x)),
     gamma_t(x) = exp(2 pi i sum_j t_j x_j / n_j),
 
-computed factor by factor along the cyclic components (a Kronecker
-product of small dense DFT matrices, no FFT library). Roots of unity at
-quarter turns are snapped to their exact values 1, -1, i, -i, so on
-groups of exponent 2 the transform of an integer-valued function is
-exactly integer-valued in float arithmetic.
+computed factor by factor along the cyclic components, no FFT library.
+An order-2 factor is the butterfly (a + b, a - b) in the array's own
+number type, so ints and Fractions stay exact; a factor of order >= 3
+multiplies by a small dense DFT matrix in complex arithmetic. Roots of
+unity at quarter turns are snapped to their exact values 1, -1, i, -i,
+so on groups of exponent 2 or 4 the transform of an integer-valued
+function is exactly integer-valued in float arithmetic.
 """
 from __future__ import annotations
 
@@ -112,12 +114,26 @@ def indicator(group: FiniteAbelianGroup, subset: Iterable) -> GroupFunction:
 
 
 def _axis_transform(arr: np.ndarray, moduli: tuple[int, ...], conjugate: bool) -> np.ndarray:
-    out = arr.astype(complex).reshape(moduli if moduli else (1,))
+    """Character sum of ``arr`` (flat, enumeration order), factor by factor.
+
+    Order-2 factors keep the number type; the result turns complex at the
+    first factor of order >= 3, which an ``object`` array cannot meet.
+    """
+    out = np.array(arr).reshape(moduli if moduli else (1,))
     for axis, n in enumerate(moduli):
+        if n == 1:
+            continue
+        if n == 2:
+            a, b = out.take(0, axis), out.take(1, axis)
+            out = np.stack((a + b, a - b), axis=axis)
+            continue
+        if out.dtype == object:
+            raise ValueError(f"exact transform needs every modulus in {{1, 2}}, got {n}")
         W = _dft_matrix(n)
         if conjugate:
             W = W.conj()
-        out = np.moveaxis(np.tensordot(W, out, axes=(1, axis)), 0, axis)
+        out = np.moveaxis(np.tensordot(W, out.astype(complex, copy=False), axes=(1, axis)),
+                          0, axis)
     return out.reshape(-1)
 
 
@@ -141,24 +157,10 @@ def dft_exact_signs(group: FiniteAbelianGroup, values) -> list:
     """
     if any(m not in (1, 2) for m in group.moduli):
         raise ValueError("exact sign transform needs all moduli in {1, 2}")
-    vals = list(values)
+    vals = np.array(list(values), dtype=object)
     if len(vals) != group.order:
         raise ValueError("value count mismatch")
-    stride = group.order
-    for m in group.moduli:
-        if m == 1:
-            continue
-        stride //= 2
-        out = [None] * len(vals)
-        # butterfly along this axis: blocks of size 2*stride
-        for base in range(0, len(vals), 2 * stride):
-            for j in range(stride):
-                a = vals[base + j]
-                b = vals[base + stride + j]
-                out[base + j] = a + b
-                out[base + stride + j] = a - b
-        vals = out
-    return vals
+    return _axis_transform(vals, group.moduli, False).tolist()
 
 
 def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
@@ -183,12 +185,13 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
 
 
 def reflect(f: GroupFunction) -> GroupFunction:
-    """x -> f(-x)."""
+    """x -> f(-x): flipping an axis sends x to n-1-x, rolling by one to -x."""
     G = f.group
-    out = np.empty_like(f.values)
-    for i in range(G.order):
-        out[G.index(G.neg(G.element(i)))] = f.values[i]
-    return GroupFunction(G, out)
+    if G.rank == 0:
+        return GroupFunction(G, f.values.copy())
+    axes = tuple(range(G.rank))
+    out = np.roll(np.flip(f.values.reshape(G.moduli), axes), 1, axes)
+    return GroupFunction(G, out.reshape(-1))
 
 
 def autocorrelation(f: GroupFunction) -> GroupFunction:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BoundReport, best_upper
+from .bounds import BoundReport, rank_reports
 from .config import (DEFAULT_BUDGET, DEFAULT_TOLERANCES, LP_GROUP_ORDER_CAP,
                      SearchBudget, Tolerances)
 from .errors import CertificateInvalidError, NumericalInconsistencyError
@@ -287,11 +287,4 @@ def compare_bounds(group: FiniteAbelianGroup, domain: SymmetricDomain,
             reports.append(BoundReport(sol.value - sol.gap, "lp-witness",
                                        "lower", {"f": sol.f}))
 
-    uppers = sorted((r for r in reports if r.direction == "upper"),
-                    key=lambda r: (r.as_float(), r.method))
-    lowers = sorted((r for r in reports if r.direction == "lower"),
-                    key=lambda r: (-r.as_float(), r.method))
-    top = best_upper(uppers)
-    if top is not None:
-        top.certificate["minimum"] = True
-    return uppers + lowers
+    return rank_reports(reports)

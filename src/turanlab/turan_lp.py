@@ -23,7 +23,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,8 +35,8 @@ from .errors import (CertificateInvalidError, InvalidHomomorphismError,
 from .groups import (Element, FiniteAbelianGroup, Subgroup, SymmetricDomain,
                      direct_product, image_domain, quotient_group,
                      subgroup_as_group, symmetric_domain)
-from .harmonic import (GroupFunction, _axis_transform, dft_exact_signs,
-                       is_positive_definite, root_of_unity)
+from .harmonic import (GroupFunction, _axis_transform, is_positive_definite,
+                       root_of_unity)
 from .simplex import SingularBasisError, solve_column_lp
 
 
@@ -86,14 +86,14 @@ class LPProblem:
     moduli in {1, 2, 4} every entry is therefore exact; in exact mode
     (moduli in {1, 2}) the table is +-1 and rows are Fractions. The flat
     indices ``pair_index``, ``pair_neg_index`` and ``dual_index`` place the
-    pairs and dual pairs in the group's enumeration for the transforms
-    that still run over the whole group (pricing, certificate, witness).
+    pairs and dual pairs in the group's enumeration for the whole-group
+    transforms of pricing, the certificate and the witness, which run in
+    floats or, in exact mode, in Fractions.
     """
 
     group: FiniteAbelianGroup
     domain: SymmetricDomain
     pairs: list[tuple[Element, int]]
-    dual_pairs: list[tuple[Element, int]]
     constants: np.ndarray
     exact: bool = False
     sizes: np.ndarray = field(kw_only=True, repr=False)
@@ -111,7 +111,13 @@ class LPProblem:
 
     @property
     def n_rows(self) -> int:
-        return len(self.dual_pairs)
+        return len(self.dual_index)
+
+    @cached_property
+    def dual_pairs(self) -> list[tuple[Element, int]]:
+        """(representative, pair size) per row, the trivial character first."""
+        return [(self.group.element(i), s) for i, s in
+                zip(self.dual_index.tolist(), self.dual_sizes.tolist())]
 
     def weight_vector(self):
         if self.exact:
@@ -156,10 +162,7 @@ def build_lp_problem(
     neg = _flat(mods, -coords)
     dual_index = np.concatenate(([0], np.flatnonzero((flat <= neg) & (flat > 0))))
     dual_sizes = np.where(flat[dual_index] == neg[dual_index], 1, 2)
-    elems = group.elements()
-    dual_pairs = [(elems[i], int(s)) for i, s in zip(dual_index.tolist(),
-                                                      dual_sizes.tolist())]
-    n = len(dual_pairs)
+    n = len(dual_index)
     if constants is None:
         consts = np.ones(n)
     else:
@@ -168,7 +171,7 @@ def build_lp_problem(
             raise ValueError(f"constants must have length {n}")
     scale = np.array([N // m for m in mods], dtype=np.int64)
     return LPProblem(
-        group, domain, pairs, dual_pairs, consts, exact,
+        group, domain, pairs, consts, exact,
         sizes=np.array([s for _x, s in pairs], dtype=np.int64),
         phase_x=pair_coords * scale,
         pair_index=_flat(mods, pair_coords),
@@ -248,45 +251,36 @@ def verify_dual_certificate(problem: LPProblem, row_weights,
     1 + sum_r weight_r * constants_r, by weak duality.
     """
     G = problem.group
-    lam = row_weights
-    if len(lam) != problem.n_rows:
+    if len(row_weights) != problem.n_rows:
         raise CertificateInvalidError("one weight per constraint row required")
-    exact = problem.exact and all(isinstance(v, (int, Fraction)) for v in lam)
+    exact = problem.exact and all(isinstance(v, (int, Fraction)) for v in row_weights)
     tol = 0 if exact else tolerances.feasibility
-    for r in range(problem.n_rows):
-        if lam[r] < -tol:
-            raise CertificateInvalidError(f"negative weight on row {r}")
+    lam = np.asarray(row_weights, dtype=object if exact else float)
+    negative = np.flatnonzero(lam < -tol)
+    if negative.size:
+        raise CertificateInvalidError(f"negative weight on row {negative[0]}")
     # sum_r lam_r Re gamma_{t_r}(x) for all x at once: transform of the
     # weight vector laid out on the character side
-    if exact:
-        u = [0] * G.order
-        for r, i in enumerate(problem.dual_index.tolist()):
-            u[i] = lam[r]
-        spread = dft_exact_signs(G, u)
-        bad = 0
-        for i, s in zip(problem.pair_index.tolist(), problem.sizes.tolist()):
-            bad = max(bad, abs(s * spread[i] + s))
-        if bad != 0:
-            raise CertificateInvalidError(f"row combination misses objective by {bad}")
-        return Fraction(1) + sum(
-            lam[r] * Fraction(float(problem.constants[r]))
-            for r in range(problem.n_rows))
-    u = np.zeros(G.order)
-    u[problem.dual_index] = np.asarray(lam, dtype=float)
+    u = np.zeros(G.order, dtype=lam.dtype)
+    u[problem.dual_index] = lam
     spread = _axis_transform(u, G.moduli, False).real
     s = problem.sizes
-    resid = float(np.abs(s * spread[problem.pair_index] + s).max(initial=0.0))
-    if resid > tolerances.feasibility * max(1.0, float(G.order)):
+    resid = np.abs(s * spread[problem.pair_index] + s).max(initial=0)
+    if resid > tol * max(1.0, float(G.order)):
         raise CertificateInvalidError(
-            f"row combination misses objective by {resid:.3e}")
-    return 1.0 + float(np.dot(np.asarray(lam, dtype=float), problem.constants))
+            f"row combination misses objective by {float(resid):.3e}")
+    if exact:
+        consts = [Fraction(c) for c in problem.constants.tolist()]
+        return Fraction(1) + np.dot(lam, np.array(consts, dtype=object))
+    return 1.0 + float(np.dot(lam, problem.constants))
 
 
 def _embed(problem: LPProblem, y) -> np.ndarray:
-    """Full value table of the even function with f(0)=1, f(+-x_q)=y_q."""
-    vals = np.zeros(problem.group.order)
-    vals[0] = 1.0
-    y = np.asarray(y, dtype=float)
+    """Full value table of the even function with f(0)=1, f(+-x_q)=y_q,
+    in the number type of y."""
+    y = np.asarray(y)
+    vals = np.zeros(problem.group.order, dtype=y.dtype)
+    vals[0] = 1
     vals[problem.pair_index] = y
     vals[problem.pair_neg_index] = y
     return vals
@@ -300,7 +294,7 @@ def _mixed_witness(problem: LPProblem, y) -> tuple[GroupFunction, float]:
     domain; the cost is a proportional shrink of the ratio.
     """
     G = problem.group
-    vals = _embed(problem, y)
+    vals = _embed(problem, np.asarray(y, dtype=float))
     fhat = _axis_transform(vals, G.moduli, False).real
     s = max(0.0, -float(fhat.min()))
     if s > 0.0:
@@ -351,15 +345,7 @@ def _solve_core(problem: LPProblem, tolerances: Tolerances,
         return row_cache[r]
 
     def price(pi):
-        if exact:
-            fvals = [Fraction(0)] * G.order
-            fvals[0] = Fraction(1)
-            for q, (i, j) in enumerate(zip(problem.pair_index.tolist(),
-                                           problem.pair_neg_index.tolist())):
-                fvals[i] = fvals[j] = pi[q]
-            fhat = np.array(dft_exact_signs(G, fvals), dtype=object)
-        else:
-            fhat = _axis_transform(_embed(problem, pi), G.moduli, False).real
+        fhat = _axis_transform(_embed(problem, pi), G.moduli, False).real
         rc = consts - 1 + fhat[problem.dual_index]
         # violated rows not offered yet, by (rc, r): a stable sort of the
         # ascending candidate indices breaks rc ties by the lower row

@@ -343,24 +343,10 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert code == 1 and "--tol must be positive" in err
 
 
-def test_threads_flag_and_env(tmp_path, capsys, monkeypatch):
-    path = problem(tmp_path, {"setting": "finite-group", "moduli": [4],
-                              "domain": [0, 1, 3]})
-    monkeypatch.delenv("TURANLAB_THREADS", raising=False)
-    code, out, _ = run(capsys, "--threads", "3", "turan", path)
-    assert code == 0 and json.loads(out)["threads"] == 3
-    monkeypatch.setenv("TURANLAB_THREADS", "5")
-    code, out, _ = run(capsys, "turan", path)
-    assert code == 0 and json.loads(out)["threads"] == 5
-    monkeypatch.setenv("TURANLAB_THREADS", "many")
-    code, _, err = run(capsys, "turan", path)
-    assert code == 1 and "TURANLAB_THREADS" in err
-
-
 def test_timings_flag(tmp_path, capsys):
     path = problem(tmp_path, {"setting": "finite-group", "moduli": [4],
                               "domain": [0, 1, 3]})
-    code, out, _ = run(capsys, "--timings", "--threads", "1", "turan", path)
+    code, out, _ = run(capsys, "--timings", "turan", path)
     assert code == 0
     rep = json.loads(out)
     assert float(rep["timings"]["total_s"]) >= 0
@@ -368,8 +354,8 @@ def test_timings_flag(tmp_path, capsys):
 
 def test_identical_runs_emit_identical_bytes(tmp_path, capsys):
     path = problem(tmp_path, EX_Z8)
-    first = run(capsys, "--threads", "1", "turan", path)
-    second = run(capsys, "--threads", "1", "turan", path)
+    first = run(capsys, "turan", path)
+    second = run(capsys, "turan", path)
     assert first == second
 
 

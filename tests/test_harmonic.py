@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import cmath
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from turanlab import (
     parseval_gap,
     reflect,
 )
+from turanlab.harmonic import _axis_transform, _dft_matrix
 
 
 def test_group_function_basics():
@@ -128,6 +130,62 @@ def test_reflect():
     f = from_dict(G, {(1,): 2.0, (2,): -1.0})
     r = reflect(f)
     assert r((4,)) == 2.0 and r((3,)) == -1.0 and r((1,)) == 0.0
+
+
+def test_reflect_is_negation_on_mixed_groups():
+    rng = random.Random(90205)
+    for _ in range(100):
+        G = make_group([rng.randint(1, 6) for _ in range(rng.randint(0, 4))])
+        f = GroupFunction(G, np.array([rng.uniform(-2, 2) for _ in range(G.order)]))
+        r = reflect(f)
+        for x in G.elements():
+            assert r.values[G.index(G.neg(x))] == f.values[G.index(x)]
+
+
+def _dense_axis_product(arr, moduli, conjugate):
+    """Every factor, order 2 included, as a dense complex matrix product."""
+    out = arr.astype(complex).reshape(moduli if moduli else (1,))
+    for axis, n in enumerate(moduli):
+        W = _dft_matrix(n).conj() if conjugate else _dft_matrix(n)
+        out = np.moveaxis(np.tensordot(W, out, axes=(1, axis)), 0, axis)
+    return out.reshape(-1)
+
+
+def test_axis_transform_matches_dense_product_bit_for_bit():
+    rng = random.Random(90206)
+    for case in range(300):
+        moduli = tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 5)))
+        G = make_group(list(moduli))
+        vals = np.array([rng.uniform(-3, 3) for _ in range(G.order)])
+        for conjugate in (False, True):
+            got = _axis_transform(vals, moduli, conjugate)
+            want = _dense_axis_product(vals, moduli, conjugate)
+            # adding 0.0 only merges the two signed zeros
+            assert (got.real + 0.0).tobytes() == (want.real + 0.0).tobytes(), \
+                f"case {case}: {moduli} conjugate={conjugate}"
+            if all(m <= 2 for m in moduli):
+                assert got.dtype == float
+
+
+def test_fraction_transform_is_the_sign_sum():
+    rng = random.Random(90207)
+    for k in range(7):
+        G = make_group([2] * k)
+        vals = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(G.order)]
+        got = _axis_transform(np.array(vals, dtype=object), G.moduli, False)
+        assert got.dtype == object
+        for t in G.elements():
+            want = sum(v * (-1) ** sum(a * b for a, b in zip(t, x))
+                       for v, x in zip(vals, G.elements()))
+            assert got[G.index(t)] == want and isinstance(got[G.index(t)], Fraction)
+
+
+def test_fraction_transform_refuses_odd_and_quarter_factors():
+    for moduli in ([3], [2, 4], [2, 1, 6]):
+        G = make_group(moduli)
+        vals = np.array([Fraction(1)] * G.order, dtype=object)
+        with pytest.raises(ValueError, match="exact transform"):
+            _axis_transform(vals, G.moduli, False)
 
 
 def test_autocorrelation_hand_case():
