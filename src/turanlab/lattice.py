@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 
@@ -21,6 +22,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (CertificateInvalidError, DomainNotSymmetricError,
                      MTooSmallError, WitnessRejectedError)
 from .groups import FiniteAbelianGroup, SymmetricDomain, make_group, symmetric_domain
+from .rational import solve_fractions
 from .turan_lp import turan_constant
 
 Point = tuple[int, ...]
@@ -202,38 +204,15 @@ def explicit_witness_omega_N(n: int, grid: int = 100_000) -> OmegaNWitness:
 # periodic packing sets
 
 
-def _int_det(M: list[list[int]]) -> int:
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in M[1:]]
-        total += (-1) ** j * M[0][j] * _int_det(minor)
-    return total
-
-
-def _adjugate(M: list[list[int]]) -> list[list[int]]:
-    n = len(M)
-    if n == 1:
-        return [[1]]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[M[r][c] for c in range(n) if c != j]
-                     for r in range(n) if r != i]
-            adj[j][i] = (-1) ** (i + j) * _int_det(minor)
-    return adj
-
-
 @dataclass(frozen=True)
 class PeriodicSet:
     """Union of residues + (integer spans of the basis rows).
 
     Each row of ``basis`` is one generator, so the sublattice is
     {sum_i z_i basis[i]}. Membership is decided exactly: with B holding
-    the generators as columns, v lies in the sublattice iff adj(B) v
-    vanishes mod det(B), since adj(B) = det(B) B^{-1}.
+    the generators as columns, v lies in the sublattice iff B^{-1} v is
+    integral, that is iff adj(B) v vanishes mod det(B). Both come from
+    one Fraction elimination of B.
     """
 
     d: int
@@ -241,11 +220,9 @@ class PeriodicSet:
     residues: tuple[Point, ...]
 
     def __post_init__(self):
-        B = [list(row) for row in self.basis]
-        if len(B) != self.d or any(len(r) != self.d for r in B):
+        if len(self.basis) != self.d or any(len(r) != self.d for r in self.basis):
             raise ValueError("basis must be a d x d integer matrix")
-        det = _int_det(B)
-        if det == 0:
+        if self.det == 0:
             raise ValueError("basis is singular")
         if len(set(self.residues)) != len(self.residues):
             raise ValueError("residues repeat")
@@ -255,23 +232,25 @@ class PeriodicSet:
                     raise ValueError(
                         f"residues {r1} and {r2} coincide modulo the lattice")
 
+    @cached_property
+    def _adjugate(self) -> tuple[int, list[list[int]]]:
+        """det(B) and the integer matrix adj(B) = det(B) B^{-1}, with the
+        generators as the columns of B (no rows when B is singular)."""
+        identity = [[int(i == j) for j in range(self.d)] for i in range(self.d)]
+        det, inv = solve_fractions(list(zip(*self.basis)), identity)
+        return int(det), [[int(det * x) for x in row] for row in inv or []]
+
     @property
     def det(self) -> int:
-        return _int_det([list(r) for r in self.basis])
+        return self._adjugate[0]
 
     @property
     def density(self) -> Fraction:
         return Fraction(len(self.residues), abs(self.det))
 
     def _in_lattice(self, v: Point) -> bool:
-        # generators are the rows, so transpose into column form first
-        B = [[self.basis[j][i] for j in range(self.d)]
-             for i in range(self.d)]
-        det = _int_det(B)
-        adj = _adjugate(B)
-        return all(
-            sum(adj[i][k] * v[k] for k in range(self.d)) % det == 0
-            for i in range(self.d))
+        det, adj = self._adjugate
+        return all(sum(a * c for a, c in zip(row, v)) % det == 0 for row in adj)
 
     def __contains__(self, x) -> bool:
         v = _canon_point(x, self.d)

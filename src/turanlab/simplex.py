@@ -9,22 +9,32 @@ pricing callback. The basis inverse is maintained explicitly; it is a
 p x p matrix where p is the number of equality rows, so the numerics stay
 well conditioned regardless of how many columns the caller generates.
 
-All state lives in numpy arrays, on one code path for float mode and
-exact mode (``object`` arrays of Fractions):
+All state lives in float numpy arrays:
     working set  a preallocated p x capacity matrix, with ``ids`` and
                  ``costs`` arrays beside it. The first n slots are in use
                  and the capacity doubles when they fill up, so adding a
                  column copies only that column; the loop reads the
                  matrix and the costs as views of the used slots.
-    basis        the basic column ids and their costs ``cB``, both
-                 overwritten at the leaving position on each pivot. The
-                 multipliers are ``cB @ Binv``; the objective is the
-                 left-to-right running sum of ``cB * xB``.
+    basis        the basic column ids, their working-set slots and their
+                 costs ``cB``, all overwritten at the leaving position on
+                 each pivot. The multipliers are ``cB @ Binv``; the
+                 objective is the left-to-right running sum of ``cB * xB``.
 
-Pivoting: Dantzig entering with a largest-pivot tie-break by default;
-Bland's anti-cycling rule (lowest column id) takes over after a stall and
-is the permanent rule in exact (Fraction) mode, where every comparison is
-performed at tolerance zero.
+Pivoting: Dantzig entering with a largest-pivot tie-break; Bland's
+anti-cycling rule (lowest column id) takes over after a stall of
+``stall_limit`` pivots without progress and hands back at the next
+strict decrease. A leaving row needs a basis direction above
+``pivot_tol``: smaller entries are within the rounding of the updated
+inverse, and Bland's lowest-id tie-break would otherwise pivot on such
+a rounded zero and make the basis singular.
+
+Drift: the product-form updates of ``Binv`` and ``xB`` accumulate
+rounding. Before each pricing round that follows a pivot, the residuals
+max|B xB - w| and max|pi B - cB| are measured against the basic
+columns; when either exceeds ``entering_tol``, ``Binv`` is re-inverted
+and ``xB`` recomputed from them. A singular basis raises
+``SingularBasisError``. The final basis ids are returned, so a caller
+can recompute that basis in exact arithmetic.
 
 Termination statuses:
     optimal          pricing found nothing below tolerance
@@ -36,7 +46,6 @@ Termination statuses:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,17 +53,18 @@ import numpy as np
 from .config import LP_PIVOT_CAP
 
 # a priced column: (column id, coefficient vector, cost)
-Column = tuple[int, Sequence, object]
+Column = tuple[int, Sequence, float]
 
 
 @dataclass
 class ColumnLPResult:
     status: str
-    objective: object                  # float or Fraction
-    pi: object                         # row multipliers (optimal y), array or tuple
-    weights: dict[int, object]         # basic lam by column id
+    objective: float | None
+    pi: np.ndarray | None              # row multipliers (optimal y)
+    weights: dict[int, float]          # basic lam by column id
     pivots: int
     diagnostics: dict = field(default_factory=dict)
+    basis: list[int] = field(default_factory=list)  # basic column ids by row
 
 
 class _Working:
@@ -64,12 +74,12 @@ class _Working:
     arrival order; a full set doubles its capacity.
     """
 
-    def __init__(self, p: int, dtype, capacity: int):
+    def __init__(self, p: int, capacity: int):
         self.n = 0
         self.pos_of: dict[int, int] = {}
-        self._mat = np.empty((p, capacity), dtype=dtype)
+        self._mat = np.empty((p, capacity))
         self._ids = np.empty(capacity, dtype=np.int64)
-        self._costs = np.empty(capacity, dtype=dtype)
+        self._costs = np.empty(capacity)
 
     def add(self, cid: int, vec, cost):
         if cid in self.pos_of:
@@ -108,38 +118,39 @@ class SingularBasisError(RuntimeError):
     """The float basis inverse degraded to non-finite entries."""
 
 
+def _clean(xB: np.ndarray) -> None:
+    """Snap rounding-level basic values to zero and clip negatives."""
+    xB[np.abs(xB) < 1e-13] = 0.0
+    np.maximum(xB, 0.0, out=xB)
+
+
 def solve_column_lp(
     w,
     initial_columns: list[Column],
     price: Callable,
     *,
-    exact: bool = False,
     entering_tol: float = 1e-9,
-    pivot_tol: float = 1e-11,
+    pivot_tol: float = 1e-9,
     pivot_cap: int = LP_PIVOT_CAP,
     stall_limit: int = 300,
     start_basis: list[int] | None = None,
 ) -> ColumnLPResult:
     """price(pi) must return new Columns with negative reduced cost, or []."""
+    w = np.asarray(w, dtype=float)
     p = len(w)
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    if exact:
-        entering_tol = Fraction(0)
-        pivot_tol = Fraction(0)
-    dt = object if exact else float
 
-    work = _Working(p, dt, max(16, 2 * len(initial_columns)))
+    work = _Working(p, max(16, 2 * len(initial_columns)))
     for cid, vec, cost in initial_columns:
         work.add(cid, vec, cost)
 
     # starting basis: for each row q a signed unit column matching sgn(w_q)
     basis = np.empty(p, dtype=np.int64)
-    cB = np.empty(p, dtype=dt)
-    Binv = np.zeros((p, p), dtype=dt)
-    xB = np.empty(p, dtype=dt)
+    slot = np.empty(p, dtype=np.int64)
+    cB = np.empty(p)
+    Binv = np.zeros((p, p))
+    xB = np.empty(p)
     for q in range(p):
-        want = -one if w[q] < zero else one
+        want = -1.0 if w[q] < 0.0 else 1.0
         if start_basis is not None:
             cid = start_basis[q]
             vec = work.column(work.pos_of[cid])
@@ -147,7 +158,7 @@ def solve_column_lp(
             cid = None
             for c, vec0, _cost in initial_columns:
                 nz = np.flatnonzero(np.asarray(vec0, dtype=float))
-                if len(nz) == 1 and nz[0] == q and (one if vec0[q] > zero else -one) == want:
+                if len(nz) == 1 and nz[0] == q and (1.0 if vec0[q] > 0.0 else -1.0) == want:
                     cid, vec = c, vec0
                     break
             if cid is None:
@@ -155,32 +166,35 @@ def solve_column_lp(
         if vec[q] != want:
             raise ValueError(f"start column for row {q} is not the signed unit")
         basis[q] = cid
-        cB[q] = work.costs[work.pos_of[cid]]
+        slot[q] = work.pos_of[cid]
+        cB[q] = work.costs[slot[q]]
         Binv[q, q] = want
         xB[q] = w[q] * want
-    for q in range(p):
-        if exact:
-            xB[q] = Fraction(xB[q])
-        if xB[q] < zero:
-            raise ValueError("starting basis is infeasible")
+    if (xB < 0.0).any():
+        raise ValueError("starting basis is infeasible")
 
     pivots = 0
     bland_pivots = 0
     pricing_rounds = 0
-    bland = exact
+    bland = False
     stall = 0
     last_obj = None
+    checked = True  # Binv checked for drift since the last pivot
 
     def objective():
         # the running sum adds the products left to right, like a loop
-        return np.cumsum(cB * xB)[-1] if p else zero
+        return np.cumsum(cB * xB)[-1] if p else 0.0
 
     def weights():
-        return {b: x for b, x in zip(basis.tolist(), xB) if x != zero}
+        return {b: x for b, x in zip(basis.tolist(), xB) if x != 0.0}
 
     def diagnostics(**extra):
         return {**extra, "bland_pivots": bland_pivots,
                 "pricing_rounds": pricing_rounds, "columns": work.n}
+
+    def result(status):
+        return ColumnLPResult(status, objective(), pi, weights(), pivots,
+                              diagnostics(), basis.tolist())
 
     while True:
         pi = cB @ Binv
@@ -193,18 +207,29 @@ def solve_column_lp(
             if not rc[enter] < -entering_tol:
                 enter = -1
         if enter < 0:
+            if not checked:
+                checked = True
+                B = work.matrix()[:, slot]
+                drift = max(np.abs(B @ xB - w).max(initial=0.0),
+                            np.abs(pi @ B - cB).max(initial=0.0))
+                if drift > entering_tol:
+                    try:
+                        Binv = np.linalg.inv(B)
+                    except np.linalg.LinAlgError as e:
+                        raise SingularBasisError("basis matrix is singular") from e
+                    xB = Binv @ w
+                    _clean(xB)
+                    continue
             pricing_rounds += 1
             fresh = price(pi)
             if not fresh:
-                return ColumnLPResult("optimal", objective(), pi, weights(),
-                                      pivots, diagnostics())
+                return result("optimal")
             for cid, vec, cost in fresh:
                 work.add(cid, vec, cost)
             continue
 
         if pivots >= pivot_cap:
-            return ColumnLPResult("budget-exceeded", objective(), pi, weights(),
-                                  pivots, diagnostics())
+            return result("budget-exceeded")
 
         d = Binv @ work.column(enter)
         eligible = (d > pivot_tol).nonzero()[0]
@@ -213,10 +238,7 @@ def solve_column_lp(
                                   diagnostics(entering=int(work.ids[enter])))
         ratios = xB[eligible] / d[eligible]
         rmin = ratios.min()
-        if exact:
-            ties = eligible[ratios == rmin]
-        else:
-            ties = eligible[ratios <= rmin * (1 + 1e-9) + 1e-15]
+        ties = eligible[ratios <= rmin * (1 + 1e-9) + 1e-15]
         if bland:
             leave = int(ties[basis[ties].argmin()])
         else:
@@ -228,30 +250,29 @@ def solve_column_lp(
         # pivot: replace basis[leave] by the entering column
         theta = xB[leave] / d[leave]
         xB -= d * theta
-        if not exact:
-            xB[np.abs(xB) < 1e-13] = 0.0
-            np.maximum(xB, 0.0, out=xB)
+        _clean(xB)
         xB[leave] = theta
         Binv[leave] /= d[leave]
-        d[leave] = zero
+        d[leave] = 0.0
         Binv -= np.multiply.outer(d, Binv[leave])
         basis[leave] = work.ids[enter]
+        slot[leave] = enter
         cB[leave] = work.costs[enter]
         pivots += 1
         if bland:
             bland_pivots += 1
 
-        if not exact:
-            if pivots % 128 == 0 and not (
-                np.isfinite(Binv).all() and np.isfinite(xB).all()
-            ):
-                raise SingularBasisError("basis inverse lost finiteness")
-            obj = float(objective())
-            if last_obj is not None and obj >= last_obj - 1e-12:
-                stall += 1
-                if stall >= stall_limit:
-                    bland = True
-            else:
-                stall = 0
-                bland = False
-            last_obj = obj
+        checked = False
+        if pivots % 128 == 0 and not (
+            np.isfinite(Binv).all() and np.isfinite(xB).all()
+        ):
+            raise SingularBasisError("basis inverse lost finiteness")
+        obj = float(objective())
+        if last_obj is not None and obj >= last_obj - 1e-12:
+            stall += 1
+            if stall >= stall_limit:
+                bland = True
+        else:
+            stall = 0
+            bland = False
+        last_obj = obj

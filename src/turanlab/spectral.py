@@ -133,7 +133,7 @@ def is_spectrum(group: FiniteAbelianGroup, H, T,
     if gram_ok != ident_ok:
         raise NumericalInconsistencyError(
             f"spectrum tests disagree: gram={gram_ok} identity={ident_ok} "
-            f"(off-digonal {worst_pair:.3e}, identity deviation {dev:.3e})")
+            f"(off-diagonal {worst_pair:.3e}, identity deviation {dev:.3e})")
     return SpectrumReport(gram_ok, diag)
 
 

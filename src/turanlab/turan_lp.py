@@ -37,6 +37,7 @@ from .groups import (Element, FiniteAbelianGroup, Subgroup, SymmetricDomain,
                      subgroup_as_group, symmetric_domain)
 from .harmonic import (GroupFunction, _axis_transform, is_positive_definite,
                        root_of_unity)
+from .rational import solve_fractions
 from .simplex import SingularBasisError, solve_column_lp
 
 
@@ -83,12 +84,13 @@ class LPProblem:
     (``phase_x``), entry (r, q) is
     ``sizes[q] * cos_table[(phase_x[q] . dual_coords[r]) % N]``, where
     ``cos_table`` holds Re exp(2 pi i k / N) exact at quarter turns. For
-    moduli in {1, 2, 4} every entry is therefore exact; in exact mode
-    (moduli in {1, 2}) the table is +-1 and rows are Fractions. The flat
-    indices ``pair_index``, ``pair_neg_index`` and ``dual_index`` place the
-    pairs and dual pairs in the group's enumeration for the whole-group
-    transforms of pricing, the certificate and the witness, which run in
-    floats or, in exact mode, in Fractions.
+    moduli in {1, 2, 4} every entry is therefore an exact float; exact
+    mode (moduli in {1, 2}) reads the same float rows, whose entries are
+    the integers +-sizes[q]. The flat indices ``pair_index``,
+    ``pair_neg_index`` and ``dual_index`` place the pairs and dual pairs
+    in the group's enumeration for the whole-group transforms of pricing,
+    the certificate and the witness; the exact finish runs the same
+    transforms on Fractions.
     """
 
     group: FiniteAbelianGroup
@@ -119,21 +121,15 @@ class LPProblem:
         return [(self.group.element(i), s) for i, s in
                 zip(self.dual_index.tolist(), self.dual_sizes.tolist())]
 
-    def weight_vector(self):
-        if self.exact:
-            return np.array([Fraction(s) for s in self.sizes.tolist()], dtype=object)
+    def weight_vector(self) -> np.ndarray:
         return self.sizes.astype(float)
 
     def _cos(self, phases: np.ndarray) -> np.ndarray:
         return self.cos_table[phases % len(self.cos_table)]
 
-    def row(self, r: int):
+    def row(self, r: int) -> np.ndarray:
         """Constraint row a_r with entries sum over pair q of Re gamma_r."""
-        re = self._cos(self.phase_x @ self.dual_coords[r])
-        if self.exact:
-            return np.array([Fraction(s) * int(v) for s, v in
-                             zip(self.sizes.tolist(), re.tolist())], dtype=object)
-        return self.sizes * re
+        return self.sizes * self._cos(self.phase_x @ self.dual_coords[r])
 
     def dual_reals(self, q: int) -> np.ndarray:
         """Re gamma_t(x_q) for every dual pair t, pair sizes not applied."""
@@ -192,6 +188,9 @@ class LPSolution:
     valid witness, only the two need not meet.
     status ``infeasible``: no function satisfies the rows; value/f/dual
     are absent. Only reachable through hand-built constants.
+    ``exact_value``: in exact mode, the optimum proven in Fractions from
+    the final basis; None when that proof failed, with the reason under
+    ``diagnostics["exact_check"]``.
     """
 
     status: str
@@ -214,7 +213,7 @@ def _fold_box_weight(problem: LPProblem, lam, q: int, mu, sign: int) -> None:
     """
     G = problem.group
     re = problem.dual_reals(q)
-    if problem.exact:
+    if lam.dtype == object:
         inv = Fraction(1, G.order)
         for r, s in enumerate(problem.dual_sizes.tolist()):
             lam[r] += mu * s * (1 - sign * int(re[r])) * inv
@@ -222,10 +221,11 @@ def _fold_box_weight(problem: LPProblem, lam, q: int, mu, sign: int) -> None:
         lam += (mu / G.order) * problem.dual_sizes * (1.0 - sign * re)
 
 
-def _certificate_from_weights(problem: LPProblem, weights: dict):
-    """Nonnegative weight per constraint row, from the basic column weights."""
+def _certificate_from_weights(problem: LPProblem, weights: dict, exact: bool):
+    """Nonnegative weight per constraint row, from the basic column weights
+    (Fractions when ``exact``, floats otherwise)."""
     p = problem.n_vars
-    if problem.exact:
+    if exact:
         lam = np.array([Fraction(0)] * problem.n_rows, dtype=object)
     else:
         lam = np.zeros(problem.n_rows)
@@ -304,38 +304,80 @@ def _mixed_witness(problem: LPProblem, y) -> tuple[GroupFunction, float]:
     return f, float(vals.sum())
 
 
+def _exact_basis(problem: LPProblem, basis: list[int]):
+    """Recompute the simplex's final basis in Fractions and prove it optimal.
+
+    Box column q is +e_q (id q) or -e_q (id p + q), both of cost 1, and
+    character column r is -row(r) (id 2p + r) of cost constants[r]; on
+    moduli {1, 2} the float rows hold exact integers. Eliminations of B
+    and of its transpose give the basic weights xB = B^-1 w and the
+    multipliers pi = cB B^-1. The basis is optimal when xB >= 0 and no
+    column has negative reduced cost: |pi_q| <= 1 for the box columns,
+    and constants - 1 + transform(embed(pi)) >= 0 on every dual pair for
+    the character columns. Returns the weights by column id, the
+    objective cB . xB and pi; raises CertificateInvalidError on the
+    first failed check.
+    """
+    p = problem.n_vars
+    consts = [Fraction(c) for c in problem.constants.tolist()]
+    cols, cB = [], []
+    for b in basis:
+        if b < 2 * p:
+            col = [0] * p
+            col[b % p] = 1 if b < p else -1
+            cols.append(col)
+            cB.append(Fraction(1))
+        else:
+            cols.append([-int(v) for v in problem.row(b - 2 * p).tolist()])
+            cB.append(consts[b - 2 * p])
+    _det, xB = solve_fractions(list(zip(*cols)),
+                               [[s] for s in problem.sizes.tolist()])
+    if xB is None:
+        raise CertificateInvalidError("final basis is singular")
+    xB = [x for x, in xB]
+    neg = next((j for j, x in enumerate(xB) if x < 0), None)
+    if neg is not None:
+        raise CertificateInvalidError(
+            f"basic weight of column {basis[neg]} is {xB[neg]} < 0")
+    _det, pi = solve_fractions(cols, [[c] for c in cB])
+    pi = np.array([y for y, in pi], dtype=object)
+    over = np.flatnonzero(abs(pi) > 1)
+    if over.size:
+        raise CertificateInvalidError(
+            f"multiplier of pair {over[0]} is {pi[over[0]]}, beyond [-1, 1]")
+    fhat = _axis_transform(_embed(problem, pi), problem.group.moduli, False)
+    rc = np.array(consts, dtype=object) - 1 + fhat[problem.dual_index]
+    bad = np.flatnonzero(rc < 0)
+    if bad.size:
+        raise CertificateInvalidError(
+            f"row {bad[0]} has reduced cost {rc[bad[0]]} < 0")
+    weights = {b: x for b, x in zip(basis, xB) if x}
+    return weights, sum(c * x for c, x in zip(cB, xB)), pi
+
+
 def _solve_core(problem: LPProblem, tolerances: Tolerances,
                 pivot_cap: int) -> LPSolution:
     G = problem.group
     p = problem.n_vars
-    exact = problem.exact
 
     if p == 0:
-        one = Fraction(1) if exact else None
         f = GroupFunction(G, _embed(problem, []))
-        lam = (np.array([Fraction(0)] * problem.n_rows, dtype=object)
-               if exact else np.zeros(problem.n_rows))
-        return LPSolution("optimal", 1.0, f, lam, 0.0, problem, one)
+        lam = _certificate_from_weights(problem, {}, problem.exact)
+        return LPSolution("optimal", 1.0, f, lam, 0.0, problem,
+                          Fraction(1) if problem.exact else None)
 
     w = problem.weight_vector()
-    if exact:
-        pos = Fraction(1)
-        consts = np.array([Fraction(float(c)) for c in problem.constants],
-                          dtype=object)
-    else:
-        pos = 1.0
-        consts = np.asarray(problem.constants, dtype=float)
-
+    consts = np.asarray(problem.constants, dtype=float)
     initial = []
     for q in range(p):
-        e = np.zeros(p, dtype=object if exact else float)
-        e[q] = pos
-        initial.append((q, e.copy(), pos))
-        e2 = np.zeros(p, dtype=object if exact else float)
-        e2[q] = -pos
-        initial.append((p + q, e2, pos))
+        e = np.zeros(p)
+        e[q] = 1.0
+        initial.append((q, e, 1.0))
+        e2 = np.zeros(p)
+        e2[q] = -1.0
+        initial.append((p + q, e2, 1.0))
 
-    tol = 0 if exact else tolerances.feasibility
+    tol = tolerances.feasibility
     offered = np.zeros(problem.n_rows, dtype=bool)
     row_cache: dict[int, np.ndarray] = {}
 
@@ -357,8 +399,7 @@ def _solve_core(problem: LPProblem, tolerances: Tolerances,
     start = list(range(p))  # every weight is positive, so box+ columns
     try:
         res = solve_column_lp(
-            w, initial, price, exact=exact,
-            entering_tol=tolerances.feasibility,
+            w, initial, price, entering_tol=tol,
             pivot_cap=pivot_cap, start_basis=start)
         restarts = 0
     except SingularBasisError:
@@ -367,8 +408,7 @@ def _solve_core(problem: LPProblem, tolerances: Tolerances,
         wp = np.array([w[q] * (1.0 + 1e-9 * (q + 1) / p) for q in range(p)])
         offered[:] = False
         res = solve_column_lp(
-            wp, initial, price, exact=False,
-            entering_tol=tolerances.feasibility,
+            wp, initial, price, entering_tol=tol,
             pivot_cap=pivot_cap, start_basis=start)
         restarts = 1
 
@@ -379,13 +419,17 @@ def _solve_core(problem: LPProblem, tolerances: Tolerances,
         return LPSolution("infeasible", float("nan"), None, None,
                           float("nan"), problem, None, diag)
 
-    lam = _certificate_from_weights(problem, res.weights)
+    weights, pi, exact_value = res.weights, res.pi, None
+    if problem.exact and res.status == "optimal":
+        try:
+            weights, objective, pi = _exact_basis(problem, res.basis)
+            exact_value = 1 + objective
+        except CertificateInvalidError as e:
+            diag["exact_check"] = f"failed: {e}"
+    lam = _certificate_from_weights(problem, weights, exact_value is not None)
     upper = verify_dual_certificate(problem, lam, tolerances)
-    f, primal = _mixed_witness(problem, res.pi)
+    f, primal = _mixed_witness(problem, pi)
     gap = abs(float(upper) - primal)
-    exact_value = None
-    if exact and res.status == "optimal":
-        exact_value = Fraction(1) + res.objective
     return LPSolution(res.status, float(upper), f, lam, gap, problem,
                       exact_value, diag)
 

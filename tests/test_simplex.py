@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from turanlab.rational import solve_fractions
 from turanlab.simplex import ColumnLPResult, solve_column_lp
 
 
@@ -97,6 +98,31 @@ def _random_instance(rng, p, extra, exact):
     return w, cols
 
 
+def _floats(w, columns):
+    return (np.array([float(v) for v in w]),
+            [(cid, [float(v) for v in vec], float(cost))
+             for cid, vec, cost in columns])
+
+
+def _certify_basis(w, columns, basis):
+    """Recompute a final basis in Fractions, the way exact mode does: the
+    basic weights must be nonnegative and the multipliers feasible for
+    every column. Returns the exact objective."""
+    by_id = {cid: (vec, cost) for cid, vec, cost in columns}
+    cols = [[Fraction(v) for v in by_id[b][0]] for b in basis]
+    cB = [Fraction(by_id[b][1]) for b in basis]
+    _det, x = solve_fractions(list(zip(*cols)), [[Fraction(v)] for v in w])
+    assert x is not None, "final basis is singular"
+    _det, y = solve_fractions(cols, [[c] for c in cB])
+    x = [v for v, in x]
+    y = [v for v, in y]
+    assert all(v >= 0 for v in x), f"negative basic weight in {x}"
+    for cid, vec, cost in columns:
+        assert sum(Fraction(v) * yq for v, yq in zip(vec, y)) <= Fraction(cost), \
+            f"column {cid} has negative reduced cost"
+    return sum(c * v for c, v in zip(cB, x))
+
+
 def _check_primal(result: ColumnLPResult, w, columns, tol):
     by_id = {cid: (vec, cost) for cid, vec, cost in columns}
     p = len(w)
@@ -135,19 +161,13 @@ def test_exact_lps_match_vertex_oracle():
     for case in range(120):
         p = rng.randint(1, 2)
         w, cols = _random_instance(rng, p, rng.randint(0, 5), exact=True)
-        res = solve_column_lp(w, cols, lambda pi: [], exact=True)
+        res = solve_column_lp(*_floats(w, cols), lambda pi: [])
         assert res.status == "optimal", f"case {case}"
+        assert len(res.basis) == p
         want = _dual_vertex_oracle(w, cols)
-        assert res.objective == want, \
-            f"case {case}: solver {res.objective} oracle {want}"
-        # exact primal reconstruction
-        combo = [Fraction(0)] * p
-        for cid, lam in res.weights.items():
-            vec = dict((c, v) for c, v, _ in cols)[cid]
-            assert lam >= 0
-            for q in range(p):
-                combo[q] += lam * vec[q]
-        assert combo == list(w)
+        got = _certify_basis(w, cols, res.basis)
+        assert got == want, f"case {case}: basis {got} oracle {want}"
+        assert abs(res.objective - float(want)) <= 1e-9
 
 
 def test_budget_exceeded_keeps_feasible_point():
@@ -224,50 +244,86 @@ def test_working_set_grows_over_pricing_rounds(monkeypatch):
 
     monkeypatch.setattr(simplex._Working, "_grown", spy)
     w_exact = [Fraction(1), Fraction(3, 10)]
-    want = _dual_vertex_oracle(w_exact,
-                               _unit_columns(2) + _circle_columns(96, True))
-    for exact in (False, True):
-        pool = _circle_columns(96, exact)
-        num = Fraction if exact else float
-        unit = [(c, [num(v) for v in vec], num(1)) for c, vec, _ in _unit_columns(2)]
-        offered = set()
+    exact_pool = _circle_columns(96, True)
+    want = _dual_vertex_oracle(w_exact, _unit_columns(2) + exact_pool)
+    pool = _circle_columns(96, False)
+    unit = _unit_columns(2)
+    offered = set()
 
-        def price(pi):
-            viol = [(cost - sum(v * y for v, y in zip(vec, pi)), cid, vec, cost)
-                    for cid, vec, cost in pool if cid not in offered]
-            viol = [t for t in viol if t[0] < 0]
-            if not viol:
-                return []
-            _rc, cid, vec, cost = max(viol)
-            offered.add(cid)
-            return [(cid, vec, cost)]
+    def price(pi):
+        viol = [(cost - sum(v * y for v, y in zip(vec, pi)), cid, vec, cost)
+                for cid, vec, cost in pool if cid not in offered]
+        viol = [t for t in viol if t[0] < 0]
+        if not viol:
+            return []
+        _rc, cid, vec, cost = max(viol)
+        offered.add(cid)
+        return [(cid, vec, cost)]
 
-        grown.clear()
-        w = w_exact if exact else np.array([float(v) for v in w_exact])
-        res = solve_column_lp(w, unit, price, exact=exact)
-        assert res.status == "optimal"
-        assert grown, "the working set never outgrew its first allocation"
-        assert res.diagnostics["pricing_rounds"] > 16
-        if exact:
-            assert res.objective == want
-        else:
-            assert abs(res.objective - float(want)) <= 1e-9
-        _check_primal(res, w, unit + pool, 0 if exact else 1e-9)
+    w = np.array([float(v) for v in w_exact])
+    res = solve_column_lp(w, unit, price)
+    assert res.status == "optimal"
+    assert grown, "the working set never outgrew its first allocation"
+    assert res.diagnostics["pricing_rounds"] > 16
+    assert abs(res.objective - float(want)) <= 1e-9
+    _check_primal(res, w, unit + pool, 1e-9)
+    # the final basis, recomputed in Fractions over every column of the
+    # pool (offered or not), is exactly optimal
+    assert _certify_basis(w_exact, unit + exact_pool, res.basis) == want
 
 
 def test_bland_enters_lowest_id_among_negative_reduced_costs():
-    # at the start pi = [1]: reduced costs -6 (id 50), -2 (id 30) and
-    # -0.5 (id 20), so Dantzig takes id 50 and Bland id 20, which is
-    # neither first in arrival order nor the most negative
-    def columns(num):
-        return [(0, [num(1)], num(1)), (1, [num(-1)], num(1)),
-                (50, [num(1)], num(-5)), (30, [num(1)], num(-1)),
-                (20, [num(1)], num(1) / 2)]
+    # w = 0 makes every pivot degenerate, so with stall_limit 1 the second
+    # pivot stalls and Bland's rule picks the third entering column. The
+    # columns (v, c) have ratios c/v of 1, 0.5, 0.25, 0.1 and -0.1, and
+    # rc = v (c/v - pi). Dantzig enters id 60 (rc -2), then id 70 (rc -0.25
+    # against -0.2 for id 40). At pi = 0.25 the candidates are id 40
+    # (rc -0.075) and id 20 (rc -0.035): Dantzig takes id 40, Bland id 20,
+    # which is neither first in arrival order nor the most negative.
+    cols = [(0, [1.0], 1.0), (1, [-1.0], 1.0), (60, [4.0], 2.0),
+            (70, [1.0], 0.25), (40, [0.5], 0.05), (20, [0.1], -0.01)]
+    bland = solve_column_lp(np.array([0.0]), cols, lambda pi: [],
+                            pivot_cap=3, stall_limit=1)
+    assert bland.basis == [20]
+    assert bland.pivots == 3 and bland.diagnostics["bland_pivots"] == 1
+    dantzig = solve_column_lp(np.array([0.0]), cols, lambda pi: [],
+                              pivot_cap=3)
+    assert dantzig.status == "budget-exceeded"
+    assert dantzig.basis == [40]
+    assert dantzig.diagnostics["bland_pivots"] == 0
 
-    bland = solve_column_lp([Fraction(1)], columns(Fraction), lambda pi: [],
-                            exact=True, pivot_cap=1)
-    assert bland.status == "budget-exceeded"
-    assert bland.weights == {20: 1}
-    dantzig = solve_column_lp(np.array([1.0]), columns(float), lambda pi: [],
-                              pivot_cap=1)
-    assert dantzig.weights == {50: 1.0}
+
+class _DriftingNumpy:
+    """numpy as the simplex sees it, except that every rank-one update of
+    the basis inverse is off by a relative 1e-7, far above the rounding
+    of a real update."""
+
+    class multiply:
+        @staticmethod
+        def outer(a, b):
+            return np.multiply.outer(a, b) * (1 + 1e-7)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_drifting_inverse_is_rebuilt_before_pricing(monkeypatch):
+    import turanlab.simplex as simplex
+
+    monkeypatch.setattr(simplex, "np", _DriftingNumpy())
+    rng = random.Random(90304)
+    for case in range(40):
+        p = rng.randint(2, 3)
+        w, cols = _random_instance(rng, p, rng.randint(3, 6), exact=False)
+        unit, pool = cols[:2 * p], cols[2 * p:]
+
+        def price(pi):
+            return [(cid, vec, cost) for cid, vec, cost in pool
+                    if cost - sum(v * y for v, y in zip(vec, pi)) < -1e-9]
+
+        res = solve_column_lp(np.array(w), unit, price)
+        assert res.status == "optimal", f"case {case}"
+        want = _dual_vertex_oracle(w, cols)
+        assert abs(res.objective - float(want)) <= 1e-9, \
+            f"case {case}: solver {res.objective} oracle {float(want)}"
+        _check_primal(res, w, cols, 1e-9)

@@ -7,7 +7,9 @@ enumerating all of them gives an independent optimum to compare with.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -321,6 +323,8 @@ def test_rows_match_transform_of_a_delta():
 
 
 def test_exact_rows_match_sign_transform():
+    """Exact mode reads the float rows; on moduli {1, 2} they must equal
+    the integer sign transform exactly, which the exact finish relies on."""
     rng = random.Random(90406)
     for case in range(40):
         G = make_group([2] * rng.randint(1, 8) + [1] * rng.randint(0, 1))
@@ -330,10 +334,10 @@ def test_exact_rows_match_sign_transform():
             delta = [0] * G.order
             delta[G.index(t)] = 1
             re = tl.dft_exact_signs(G, delta)
-            want = [Fraction(s) * re[G.index(x)] for x, s in prob.pairs]
-            got = list(prob.row(r))
-            assert got == want, f"case {case}: {G.moduli} row {r}"
-            assert all(isinstance(v, Fraction) for v in got)
+            want = [s * re[G.index(x)] for x, s in prob.pairs]
+            got = prob.row(r)
+            assert got.dtype == float
+            assert got.tolist() == want, f"case {case}: {G.moduli} row {r}"
 
 
 def _hh_domain(k):
@@ -367,21 +371,32 @@ def _record_pricing(monkeypatch):
 @pytest.mark.parametrize("k,mode", [(8, "float"), (6, "exact-rational")])
 def test_price_offers_rows_once_in_rc_order(monkeypatch, k, mode):
     """Each round offers the not yet offered violated rows by (rc, r),
-    at most 32; rc is recomputed here as 1 + row . pi. Exact mode checks
-    the order exactly, ties included; float mode within rounding."""
+    at most 32; rc is recomputed here as 1 + row . pi. Exact mode prices
+    with the same float multipliers; there rc is recomputed in Fractions
+    of those floats, whose float transform is exact on this instance, so
+    the order is checked exactly, ties included. Float mode checks the
+    order within rounding."""
     calls = _record_pricing(monkeypatch)
     G, dom = _hh_domain(k)
     exact = mode == "exact-rational"
     prob = build_lp_problem(G, dom, exact=exact)
     sol = solve_lp(prob, mode)
     assert sol.status == "optimal" and sol.value == pytest.approx(k)
-    tol = 0 if exact else 1e-9
+    if exact:
+        assert sol.exact_value == k
+    tol = 1e-9
     seen: set[int] = set()
     capped = False
     for pi, rows in calls:
+        assert pi.dtype == float
         assert len(rows) <= 32
         assert not seen & set(rows), "a row was offered twice"
-        rc = [1 + np.dot(prob.row(r), pi) for r in range(prob.n_rows)]
+        if exact:
+            rc = [1 + sum(Fraction(a) * Fraction(y)
+                          for a, y in zip(prob.row(r), pi))
+                  for r in range(prob.n_rows)]
+        else:
+            rc = [1 + np.dot(prob.row(r), pi) for r in range(prob.n_rows)]
         cand = sorted((rc[r], r) for r in range(prob.n_rows)
                       if r not in seen and rc[r] < -tol)
         assert len(rows) == min(32, len(cand))
@@ -432,3 +447,78 @@ def test_singular_basis_restart_offers_rows_again(monkeypatch):
     assert plain.diagnostics["perturbed_restarts"] == 0
     assert abs(forced.value - plain.value) <= 1e-6
     assert forced.value == pytest.approx(6.0, abs=1e-6)
+
+
+# Z_2^10 domains (flat indices) whose float solves used to fail, with
+# their exact values. "drift": the updated basis inverse drifted until
+# the certificate missed the objective by 2.9e-3 after 1087 pivots (HiGHS
+# gives 4.9283820078579). "rounded-zero": Bland's rule took a leaving
+# row whose basis direction was a rounded zero, 4.9e-11, made the basis
+# singular and cycled until the 200000-pivot cap.
+_HARD_DOMAINS = {
+    "drift": ([0, 2, 5, 32, 50, 56, 94, 98, 101, 113, 163, 170, 175, 189,
+               207, 220, 222, 238, 267, 291, 295, 296, 356, 357, 423, 447,
+               481, 503, 504, 507, 511, 528, 532, 537, 551, 580, 589, 592,
+               607, 652, 712, 717, 722, 732, 769, 781, 786, 792, 816, 835,
+               840, 846, 848, 852, 883, 961, 962, 967, 981, 991, 1002],
+              Fraction(7554564, 1532869)),
+    "rounded-zero": ([0, 816, 200, 757, 578, 378, 817, 400, 554, 159, 857,
+                      606, 577, 182, 181, 92, 778, 466, 903, 876, 289, 832,
+                      23, 227, 529, 60, 558, 163, 582, 303, 990, 667, 862,
+                      824, 433, 66, 596, 560, 313, 807, 559, 87, 343, 84,
+                      281, 755, 108, 921, 322, 27, 650, 670, 148, 100],
+                     Fraction(86812, 18951)),
+}
+
+
+@pytest.mark.parametrize("mode", ["float", "exact-rational"])
+@pytest.mark.parametrize("name", sorted(_HARD_DOMAINS))
+def test_hard_domains_solve_to_their_exact_values(name, mode):
+    """Long degenerate solves end at an exactly optimal basis: float mode
+    within 1e-9 of the exact value, exact mode equal to it."""
+    G = make_group([2] * 10)
+    flat, want = _HARD_DOMAINS[name]
+    dom = symmetric_domain(G, [G.element(i) for i in flat])
+    sol = turan_constant(G, dom, mode=mode)
+    assert sol.status == "optimal"
+    assert abs(sol.value - float(want)) <= 1e-9
+    if mode == "exact-rational":
+        assert sol.exact_value == want
+
+
+def test_failed_exact_check_reports_no_exact_value(monkeypatch, tmp_path,
+                                                   capsys):
+    """A final basis that is not optimal (here the starting basis handed
+    back in place of the real one) fails the exact check: no exact value,
+    a diagnostic that says why, the float certificate instead, and no
+    lp-exact bound in the report. No second solve runs."""
+    from turanlab import turan_lp
+    from turanlab.cli import main
+
+    real = turan_lp.solve_column_lp
+    solves = []
+
+    def start_basis_back(w, initial, price, **kwargs):
+        solves.append(1)
+        res = real(w, initial, price, **kwargs)
+        return dataclasses.replace(res, basis=list(range(len(w))))
+
+    monkeypatch.setattr(turan_lp, "solve_column_lp", start_basis_back)
+    G, dom = _hh_domain(4)
+    sol = turan_constant(G, dom, mode="exact-rational")
+    assert len(solves) == 1
+    assert sol.status == "optimal"
+    assert sol.exact_value is None
+    assert "reduced cost" in sol.diagnostics["exact_check"]
+    assert sol.dual.dtype == float
+    assert sol.value == pytest.approx(4.0, abs=1e-9)
+
+    doc = {"setting": "finite-group", "moduli": [2] * 4,
+           "mode": "exact-rational",
+           "domain": [list(x) for x in dom.sorted_elements()]}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["turan", str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    methods = [b["method"] for b in rep["bounds"]]
+    assert "lp" in methods and "lp-exact" not in methods
