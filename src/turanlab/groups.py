@@ -5,6 +5,11 @@ tuples with 0 <= x_i < n_i. Enumeration order is mixed-radix
 lexicographic on the coordinates (first coordinate most significant), and
 every module downstream relies on that order for determinism.
 
+This module is the one home of that index arithmetic: ``index`` and
+``element`` convert single elements, and ``digits``, ``flat`` and
+``translate`` do the same on numpy arrays of flat indices for the LP,
+the packing and spectrum searches and the certificate checkers.
+
 Quotients and subgroup renormalization go through an exact integer Smith
 normal form so the result is again a product of cyclic groups together
 with an explicit projection / isomorphism.
@@ -15,6 +20,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import DomainNotSymmetricError, InvalidHomomorphismError
 
@@ -99,6 +106,29 @@ def _elements_of(moduli: tuple[int, ...]) -> list[Element]:
     for m in moduli:
         elems = [e + (r,) for e in elems for r in range(m)]
     return elems
+
+
+def digits(moduli: tuple[int, ...], idx) -> np.ndarray:
+    """Mixed-radix coordinates of flat indices, one trailing axis per factor."""
+    rest = np.asarray(idx, dtype=np.int64)
+    out = np.empty(rest.shape + (len(moduli),), dtype=np.int64)
+    for j in range(len(moduli) - 1, -1, -1):
+        rest, out[..., j] = np.divmod(rest, moduli[j])
+    return out
+
+
+def flat(moduli: tuple[int, ...], coords: np.ndarray) -> np.ndarray:
+    """Flat indices of coordinates reduced modulo the group, the inverse
+    of ``digits``."""
+    idx = np.zeros(coords.shape[:-1], dtype=np.int64)
+    for j, m in enumerate(moduli):
+        idx = idx * m + coords[..., j] % m
+    return idx
+
+
+def translate(moduli: tuple[int, ...], v, s) -> np.ndarray:
+    """Flat indices of v + s for broadcastable arrays of flat indices."""
+    return flat(moduli, digits(moduli, v) + digits(moduli, s))
 
 
 def make_group(moduli: Sequence[int]) -> FiniteAbelianGroup:

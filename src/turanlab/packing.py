@@ -11,6 +11,11 @@ regular (every vertex sees |Omega|-1 others), so degree-based branching
 orders collapse to plain index order, which is what the search uses;
 branching lowest-index-first with the include branch explored first makes
 the first optimum found the lexicographically least one.
+
+Every step reads one integer table, shift[k, v] = index(v + omega_k),
+built once per call from ``groups.translate``: the greedy scan clears a
+boolean array, the swap pass keeps coverage counts, and the branch and
+bound turns a column into a bitmask the first time it branches there.
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ from .bounds import BoundReport
 from .config import (DEFAULT_BUDGET, EXACT_SEARCH_VERTEX_CAP, SearchBudget)
 from .errors import CertificateInvalidError
 from .groups import (Element, FiniteAbelianGroup, SymmetricDomain,
-                     difference_set)
+                     difference_set, translate)
 from .harmonic import convolve, indicator
 
 PROVEN_MAX = "proven-max"
@@ -46,15 +51,28 @@ class PackingSet:
 
 def check_packing_set(group: FiniteAbelianGroup, domain: SymmetricDomain,
                       lam) -> tuple[bool, tuple[Element, Element] | None]:
-    """Exhaustive pairwise check; returns (ok, first violating pair)."""
+    """Returns (ok, first violating pair): the element at the smallest
+    position of lam that clashes with an earlier one, and its earliest
+    partner. Repeats do not clash. Each element's translates by Omega are
+    looked up in a position array of lam: O(|lam| |Omega| + |G|) time.
+    """
     elems = [group.canon(x if isinstance(x, tuple) else (x,)) for x in lam]
-    zero = group.identity()
-    for i, x in enumerate(elems):
-        for y in elems[:i]:
-            d = group.sub(x, y)
-            if d != zero and d in domain:
-                return False, (x, y)
-    return True, None
+    idx = np.array([group.index(x) for x in elems], dtype=np.int64)
+    n_lam = len(idx)
+    # first position of each group element in lam, n_lam when absent
+    first = np.full(group.order, n_lam, dtype=np.int64)
+    values, where = np.unique(idx, return_index=True)
+    first[values] = where
+    clash = np.full(n_lam, n_lam, dtype=np.int64)
+    # one translate at a time keeps memory at O(|lam|) for large domains
+    for x in domain.elements - {group.identity()}:
+        earlier = first[translate(group.moduli, idx, group.index(x))]
+        earlier[earlier >= np.arange(n_lam)] = n_lam
+        np.minimum(clash, earlier, out=clash)
+    bad = np.flatnonzero(clash < n_lam)
+    if bad.size == 0:
+        return True, None
+    return False, (elems[bad[0]], elems[clash[bad[0]]])
 
 
 def packing_bound(group: FiniteAbelianGroup, domain: SymmetricDomain,
@@ -74,93 +92,60 @@ def packing_bound(group: FiniteAbelianGroup, domain: SymmetricDomain,
                        {"Lambda": sorted(elems, key=group.index)})
 
 
-def _index_weights(group: FiniteAbelianGroup) -> np.ndarray:
-    w = np.ones(group.rank, dtype=np.int64)
-    for i in range(group.rank - 2, -1, -1):
-        w[i] = w[i + 1] * group.moduli[i + 1]
-    return w
+class NeighbourMasks(dict):
+    """Bitmask of the flat indices ``column(v)``, built when v is first read."""
 
+    def __init__(self, column):
+        super().__init__()
+        self.column = column
 
-def _shift_tables(group: FiniteAbelianGroup, domain: SymmetricDomain) -> np.ndarray:
-    """Row per domain element (0 excluded): index permutation v -> v + omega."""
-    shifts = [x for x in domain.sorted_elements() if x != group.identity()]
-    elems = np.array(group.elements(), dtype=np.int64).reshape(group.order, group.rank)
-    moduli = np.array(group.moduli, dtype=np.int64)
-    weights = _index_weights(group)
-    rows = np.empty((len(shifts), group.order), dtype=np.int64)
-    for k, om in enumerate(shifts):
-        rows[k] = ((elems + np.array(om, dtype=np.int64)) % moduli) @ weights
-    return rows
-
-
-class _CayleyMasks:
-    """Closed-neighborhood bitmasks, precomputed only for small graphs."""
-
-    def __init__(self, group: FiniteAbelianGroup, domain: SymmetricDomain):
-        self.n = group.order
-        self.tables = _shift_tables(group, domain)
-        self.cache: list[int] | None = None
-        if self.n <= 2048:
-            self.cache = [self._build(v) for v in range(self.n)]
-
-    def _build(self, v: int) -> int:
-        m = 1 << v
-        for row in self.tables:
-            m |= 1 << int(row[v])
+    def __missing__(self, v: int) -> int:
+        m = 0
+        for i in self.column(v).tolist():
+            m |= 1 << i
+        self[v] = m
         return m
 
-    def closed(self, v: int) -> int:
-        if self.cache is not None:
-            return self.cache[v]
-        return self._build(v)
 
-
-def _greedy(masks: _CayleyMasks) -> list[int]:
-    free = (1 << masks.n) - 1
+def _greedy(shift: np.ndarray) -> list[int]:
+    """Take the lowest free vertex until none is left, as one forward scan."""
+    free = np.ones(shift.shape[1], dtype=bool)
     out = []
-    while free:
-        v = (free & -free).bit_length() - 1
-        out.append(v)
-        free &= ~masks.closed(v)
+    for v in range(len(free)):
+        if free[v]:
+            out.append(v)
+            free[shift[:, v]] = False
     return out
 
 
-def _swap_improve(masks: _CayleyMasks, chosen: list[int],
+def _swap_improve(shift: np.ndarray, chosen: list[int],
                   deadline: float | None) -> list[int]:
-    """One deterministic pass of 1-out-2-in swaps (first improvement)."""
-    n = masks.n
-    full = (1 << n) - 1
+    """Passes of 1-out-2-in swaps (first improvement) until one finds none.
+
+    cover[x] counts the chosen closed neighbourhoods that contain x. With
+    u taken out, the free vertices are the uncovered ones and those only
+    u covers, so trying u costs O(|Omega|).
+    """
+    cover = np.bincount(shift[:, chosen].ravel(), minlength=shift.shape[1])
     sel = set(chosen)
-    improved = True
-    while improved:
-        improved = False
-        blocked = 0
-        for v in sel:
-            blocked |= masks.closed(v)
+    while True:
+        uncovered = np.flatnonzero(cover == 0)
         for u in sorted(sel):
             if deadline is not None and time.monotonic() > deadline:
                 return sorted(sel)
-            rest = sel - {u}
-            occ = 0
-            for v in rest:
-                occ |= masks.closed(v)
-            free = full & ~occ
-            # need two free, mutually non-adjacent vertices
-            f = free
-            found = None
-            while f:
-                a = (f & -f).bit_length() - 1
-                f &= f - 1
-                second = free & ~masks.closed(a) & ~((1 << (a + 1)) - 1)
-                if second:
-                    b = (second & -second).bit_length() - 1
-                    found = (a, b)
-                    break
-            if found:
-                sel = rest | {found[0], found[1]}
-                improved = True
+            own = shift[:, u]
+            free = np.union1d(uncovered, own[cover[own] == 1]).tolist()
+            # the least pair of free, mutually non-adjacent vertices
+            pair = next(((a, b) for i, a in enumerate(free)
+                         for b in free[i + 1:] if b not in shift[:, a]), None)
+            if pair:
+                cover[own] -= 1
+                for w in pair:
+                    cover[shift[:, w]] += 1
+                sel = (sel - {u}) | set(pair)
                 break
-    return sorted(sel)
+        else:
+            return sorted(sel)
 
 
 def max_packing_set(group: FiniteAbelianGroup, domain: SymmetricDomain,
@@ -176,17 +161,22 @@ def max_packing_set(group: FiniteAbelianGroup, domain: SymmetricDomain,
     budget included; it is 0 when no search ran.
     """
     n = group.order
-    masks = _CayleyMasks(group, domain)
+    # shift[k, v] = index(v + omega_k), Omega in enumeration order: column
+    # v is the closed neighbourhood of v in the Cayley graph
+    vertices = np.arange(n, dtype=np.int64)
+    shift = np.array([translate(group.moduli, vertices, group.index(x))
+                      for x in domain.sorted_elements()])
     deadline = (time.monotonic() + budget.time_limit
                 if budget.time_limit is not None else None)
-    greedy = _greedy(masks)
+    greedy = _greedy(shift)
     best = list(greedy)
 
     if n > EXACT_SEARCH_VERTEX_CAP:
-        improved = _swap_improve(masks, greedy, deadline)
+        improved = _swap_improve(shift, greedy, deadline)
         elems = tuple(group.element(v) for v in improved)
         return PackingSet(group, elems, True, GREEDY_ONLY, nodes=0)
 
+    closed_masks = NeighbourMasks(lambda v: shift[:, v])
     nodes = 0
     exhausted = False
     full = (1 << n) - 1
@@ -208,7 +198,7 @@ def max_packing_set(group: FiniteAbelianGroup, domain: SymmetricDomain,
         if len(chosen) + cand.bit_count() <= len(best):
             continue
         v = (cand & -cand).bit_length() - 1
-        closed = masks.closed(v)
+        closed = closed_masks[v]
         include = (cand & ~closed, chosen + (v,))
         if cand & closed & ~(1 << v):
             # exclude branch explored after include (LIFO: push it first)

@@ -16,6 +16,7 @@ the whole battery and marks the winner.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,9 +27,9 @@ from .config import (DEFAULT_BUDGET, DEFAULT_TOLERANCES, LP_GROUP_ORDER_CAP,
                      SearchBudget, Tolerances)
 from .errors import CertificateInvalidError, NumericalInconsistencyError
 from .groups import (Element, FiniteAbelianGroup, SymmetricDomain,
-                     difference_set, subgroup_generated)
+                     difference_set, flat, subgroup_generated, translate)
 from .harmonic import _axis_transform, indicator
-from .packing import (_index_weights, max_packing_set, packing_bound,
+from .packing import (NeighbourMasks, max_packing_set, packing_bound,
                       tiling_bound)
 from .turan_lp import quotient_bound, subgroup_bound, turan_constant
 
@@ -114,10 +115,12 @@ def is_spectrum(group: FiniteAbelianGroup, H, T,
     gram_ok = len(Tc) == h
     worst_pair = 0.0
     if gram_ok:
-        for i, t1 in enumerate(Tc):
-            for t2 in Tc[:i]:
-                m = float(mags[group.index(group.sub(t1, t2))])
-                worst_pair = max(worst_pair, m)
+        coords = np.array(Tc, dtype=np.int64).reshape(h, group.rank)
+        # one array step per element, against all earlier ones: memory
+        # stays O(|T|) where one step over all pairs would need |T|^2
+        for i in range(1, h):
+            diffs = flat(group.moduli, coords[i] - coords[:i])
+            worst_pair = max(worst_pair, float(mags[diffs].max()))
         gram_ok = worst_pair <= tol * h
 
     # (b) the power sum over shifts of T is flat at |H|^2
@@ -146,44 +149,36 @@ def find_spectrum(group: FiniteAbelianGroup, H,
     graph is a Cayley graph on the dual (hence regular: degree ordering
     degenerates to index order) and the clique must reach size |H|.
     Returns the lexicographically least spectrum if one exists within
-    budget; exhausted=True means the absence is certified.
+    budget; exhausted=True means the absence is certified. The clock is
+    read every 1024 nodes, as in the packing search.
     """
     Hc = _canon_set(group, H)
     h = len(Hc)
     zeros, _diag = transform_zero_set(group, H, tol)
     zset = {group.index(z) for z in zeros}
-    n = group.order
 
     if h == 1:
         cand = SpectrumCandidate(group, tuple(Hc), (group.identity(),), True)
         return SpectrumSearch(cand, True, 0)
 
-    # lazy adjacency masks of the zero graph; the search typically touches
-    # a tiny corner of a potentially large dual group
+    # adjacency masks of the zero graph, built lazily: the search typically
+    # touches a tiny corner of a potentially large dual group
     zero_arr = np.array(sorted(zset), dtype=np.int64)
-    elems = np.array(group.elements(), dtype=np.int64).reshape(n, group.rank)
-    moduli = np.array(group.moduli, dtype=np.int64)
-    weights = _index_weights(group)
-    mask_cache: dict[int, int] = {}
-
-    def mask(v: int) -> int:
-        m = mask_cache.get(v)
-        if m is None:
-            nb = ((elems[zero_arr] + elems[v]) % moduli) @ weights
-            m = 0
-            for i in nb:
-                m |= 1 << int(i)
-            mask_cache[v] = m
-        return m
+    masks = NeighbourMasks(lambda v: translate(group.moduli, zero_arr, v))
+    deadline = (time.monotonic() + budget.time_limit
+                if budget.time_limit is not None else None)
 
     nodes = 0
     exhausted = True
     found: tuple[int, ...] | None = None
-    start = mask(0) & ~1  # candidates adjacent to 0, excluding 0 itself
+    start = masks[0] & ~1  # candidates adjacent to 0, excluding 0 itself
     stack: list[tuple[int, tuple[int, ...]]] = [(start, (0,))]
     while stack:
         nodes += 1
         if nodes > budget.node_limit:
+            exhausted = False
+            break
+        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
             exhausted = False
             break
         cand, chosen = stack.pop()
@@ -195,7 +190,7 @@ def find_spectrum(group: FiniteAbelianGroup, H,
         v = (cand & -cand).bit_length() - 1
         rest = cand & ~(1 << v)
         stack.append((rest, chosen))
-        stack.append((rest & mask(v), chosen + (v,)))
+        stack.append((rest & masks[v], chosen + (v,)))
 
     if found is None:
         return SpectrumSearch(None, exhausted, nodes)

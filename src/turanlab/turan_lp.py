@@ -33,29 +33,12 @@ from .config import (DEFAULT_TOLERANCES, LP_GROUP_ORDER_CAP, LP_PIVOT_CAP,
 from .errors import (CertificateInvalidError, InvalidHomomorphismError,
                      WitnessRejectedError)
 from .groups import (Element, FiniteAbelianGroup, Subgroup, SymmetricDomain,
-                     direct_product, image_domain, quotient_group,
-                     subgroup_as_group, symmetric_domain)
+                     digits, direct_product, flat, image_domain,
+                     quotient_group, subgroup_as_group, symmetric_domain)
 from .harmonic import (GroupFunction, _axis_transform, is_positive_definite,
                        root_of_unity)
 from .rational import solve_fractions
 from .simplex import SingularBasisError, solve_column_lp
-
-
-def _digits(moduli: tuple[int, ...], idx: np.ndarray) -> np.ndarray:
-    """Mixed-radix coordinates of flat indices, one column per factor."""
-    out = np.empty((len(idx), len(moduli)), dtype=np.int64)
-    rest = np.asarray(idx, dtype=np.int64)
-    for j in range(len(moduli) - 1, -1, -1):
-        rest, out[:, j] = np.divmod(rest, moduli[j])
-    return out
-
-
-def _flat(moduli: tuple[int, ...], coords: np.ndarray) -> np.ndarray:
-    """Flat indices of coordinate rows, the inverse of ``_digits``."""
-    idx = np.zeros(len(coords), dtype=np.int64)
-    for j, m in enumerate(moduli):
-        idx = idx * m + coords[:, j] % m
-    return idx
 
 
 @lru_cache(maxsize=64)
@@ -153,11 +136,11 @@ def build_lp_problem(
                            dtype=np.int64).reshape(len(pairs), len(mods))
     # dual pairs: the smaller flat index of each {t, -t} represents it,
     # which is the enumeration-order choice of pair_representatives
-    flat = np.arange(group.order, dtype=np.int64)
-    coords = _digits(mods, flat)
-    neg = _flat(mods, -coords)
-    dual_index = np.concatenate(([0], np.flatnonzero((flat <= neg) & (flat > 0))))
-    dual_sizes = np.where(flat[dual_index] == neg[dual_index], 1, 2)
+    idx = np.arange(group.order, dtype=np.int64)
+    coords = digits(mods, idx)
+    neg = flat(mods, -coords)
+    dual_index = np.concatenate(([0], np.flatnonzero((idx <= neg) & (idx > 0))))
+    dual_sizes = np.where(idx[dual_index] == neg[dual_index], 1, 2)
     n = len(dual_index)
     if constants is None:
         consts = np.ones(n)
@@ -170,8 +153,8 @@ def build_lp_problem(
         group, domain, pairs, consts, exact,
         sizes=np.array([s for _x, s in pairs], dtype=np.int64),
         phase_x=pair_coords * scale,
-        pair_index=_flat(mods, pair_coords),
-        pair_neg_index=_flat(mods, -pair_coords),
+        pair_index=flat(mods, pair_coords),
+        pair_neg_index=flat(mods, -pair_coords),
         # solutions keep their problem; the narrowest dtype keeps this small
         dual_coords=coords[dual_index].astype(np.min_scalar_type(max(mods, default=1))),
         dual_sizes=dual_sizes,

@@ -63,6 +63,20 @@ def test_find_spectrum_budget_cut_is_inconclusive():
     assert not search.exhausted
 
 
+def test_find_spectrum_time_limit_cut_is_inconclusive():
+    # no spectrum; proving that takes 1885 nodes, and the clock is read
+    # every 1024
+    G = make_group([2] * 8)
+    H = [G.element(i) for i in
+         (14, 53, 83, 108, 118, 136, 143, 167, 172, 179, 197, 208)]
+    full = find_spectrum(G, H)
+    assert full.candidate is None and full.exhausted and full.nodes > 1024
+    cut = find_spectrum(G, H, SearchBudget(time_limit=0))
+    assert cut.candidate is None
+    assert not cut.exhausted
+    assert cut.nodes == 1024
+
+
 def _brute_has_spectrum(G, H) -> bool:
     """Any |H|-subset through 0 with pairwise differences killing the
     transform? Translation invariance makes the 0 anchor harmless."""
