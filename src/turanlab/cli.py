@@ -254,21 +254,21 @@ def _run_finite_group(doc, tol, budget):
     if "moduli" not in doc:
         raise SpecError("finite-group problems need field 'moduli'")
     group = make_group(doc["moduli"])
-    domain = symmetric_domain(group, _domain_elements(doc["domain"]))
+    domain = symmetric_domain(group, _elements(doc["domain"], group.rank,
+                                               "domain"))
     hints = doc.get("hints", {})
     mode = doc.get("mode", "float")
     if mode not in ("float", "exact-rational"):
         raise SpecError(f"mode must be float or exact-rational, got {mode!r}")
-    spectra = hints.get("T", [])
+    spectra = _element_sets(hints, "T", group.rank)
     if spectra and len(spectra) > len(hints.get("H", [])):
         raise SpecError("hint 'T' entries pair with 'H' by position; "
                         "got more spectra than base sets")
-    cmp_hints = {k: [_domain_elements(entry) for entry in hints[k]]
+    cmp_hints = {k: _element_sets(hints, k, group.rank)
                  for k in ("H", "Lambda", "K") if k in hints}
     reports = compare_bounds(group, domain, cmp_hints or None, budget, tol)
     for H, T in zip(cmp_hints.get("H", []), spectra):
-        reports.append(spectral_bound(group, domain, H,
-                                      _domain_elements(T)))
+        reports.append(spectral_bound(group, domain, H, T))
     if mode == "exact-rational":
         try:
             sol = turan_constant(group, domain, mode="exact-rational",
@@ -288,17 +288,34 @@ def _run_finite_group(doc, tol, budget):
     return reports, exhausted
 
 
-def _domain_elements(raw):
+def _elements(raw, rank: int, where: str) -> list:
+    """The elements listed in problem field ``where``: lists of ``rank``
+    integers, or bare integers when the rank is 1."""
     if not isinstance(raw, list):
-        raise SpecError("field 'domain' must be a list of elements")
+        raise SpecError(f"field '{where}' must be a list of elements")
+    for i, x in enumerate(raw):
+        size = (len(x) if isinstance(x, list)
+                else 1 if isinstance(x, int) else None)
+        if size != rank:
+            raise SpecError(f"{where}[{i}]: {x!r} is not an element with "
+                            f"{rank} coordinate(s)")
     return [tuple(x) if isinstance(x, list) else x for x in raw]
+
+
+def _element_sets(hints: dict, key: str, rank: int) -> list[list]:
+    """Hint ``key`` read as a list of element lists."""
+    raw = hints.get(key, [])
+    if not isinstance(raw, list):
+        raise SpecError(f"hint '{key}' must be a list of element lists")
+    return [_elements(entry, rank, f"hints.{key}[{k}]")
+            for k, entry in enumerate(raw)]
 
 
 def _run_lattice_z(doc, tol, budget):
     d = doc.get("dimension", 1)
     if not isinstance(d, int) or d < 1:
         raise SpecError("field 'dimension' must be a positive integer")
-    domain = lattice_domain(d, _domain_elements(doc["domain"]))
+    domain = lattice_domain(d, _elements(doc["domain"], d, "domain"))
     hints = doc.get("hints", {})
     torus = upper_bound_z(domain, hints.get("M"), tolerances=tol)
     reports = [torus]
@@ -312,7 +329,8 @@ def _run_lattice_z(doc, tol, budget):
                             for r in raw["residues"]])
         reports.append(density_bound_zd(domain, lam))
     if "H" in hints:
-        reports.append(witness_zd(_domain_elements(hints["H"]), domain))
+        reports.append(witness_zd(_elements(hints["H"], d, "hints.H"),
+                                  domain))
     exhausted = torus.certificate.get("budget_exhausted", False)
     return rank_reports(reports), exhausted
 
@@ -410,7 +428,8 @@ def cmd_search(args) -> int:
     if "moduli" not in doc:
         raise SpecError("finite-group problems need field 'moduli'")
     group = make_group(doc["moduli"])
-    domain = symmetric_domain(group, _domain_elements(doc["domain"]))
+    domain = symmetric_domain(group, _elements(doc["domain"], group.rank,
+                                               "domain"))
     out = {"tool": f"turanlab {__version__}",
            "what": args.what,
            "moduli": list(group.moduli),
@@ -430,12 +449,10 @@ def cmd_search(args) -> int:
                                                  key=group.index))]},
         })
     else:
-        hints = doc.get("hints", {})
-        bases = hints.get("H", [])
+        bases = _element_sets(doc.get("hints", {}), "H", group.rank)
         if not bases:
             raise SpecError("spectrum search needs hints.H with the base set")
-        H = _domain_elements(bases[0])
-        search = find_spectrum(group, H, budget)
+        search = find_spectrum(group, bases[0], budget)
         out["nodes"] = search.nodes
         out["exhausted"] = search.exhausted
         if search.candidate is None:

@@ -127,8 +127,26 @@ def flat(moduli: tuple[int, ...], coords: np.ndarray) -> np.ndarray:
 
 
 def translate(moduli: tuple[int, ...], v, s) -> np.ndarray:
-    """Flat indices of v + s for broadcastable arrays of flat indices."""
-    return flat(moduli, digits(moduli, v) + digits(moduli, s))
+    """Flat indices of v + s for broadcastable arrays of flat indices.
+
+    The flat sum v + s is right except where a digit sum reaches its
+    modulus; one axis at a time, those entries drop that modulus times the
+    axis stride. Each input's digits are taken once, on its own shape,
+    and the only whole-result buffers are the output and one carry mask.
+    """
+    v = np.asarray(v, dtype=np.int64)
+    s = np.asarray(s, dtype=np.int64)
+    out = np.empty(np.broadcast_shapes(v.shape, s.shape), dtype=np.int64)
+    np.add(v, s, out=out)
+    carry = np.empty(out.shape, dtype=bool)
+    stride = 1
+    for m in reversed(moduli):
+        v, v_digit = np.divmod(v, m)
+        s, s_digit = np.divmod(s, m)
+        np.greater_equal(v_digit, m - s_digit, out=carry)
+        np.subtract(out, m * stride, out=out, where=carry)
+        stride *= m
+    return out
 
 
 def make_group(moduli: Sequence[int]) -> FiniteAbelianGroup:

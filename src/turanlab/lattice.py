@@ -22,6 +22,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (CertificateInvalidError, DomainNotSymmetricError,
                      MTooSmallError, WitnessRejectedError)
 from .groups import FiniteAbelianGroup, SymmetricDomain, make_group, symmetric_domain
+from .packing import greedy_scan
 from .rational import solve_fractions
 from .turan_lp import turan_constant
 
@@ -332,46 +333,75 @@ def greedy_packing_window(domain: LatticeDomain, L: int) -> GreedyRun:
     |window| / |Omega+|; and differences of selections always fall outside
     the domain, because a later selection inside an earlier shadow is
     impossible and the scan order rules out the mirrored case.
+
+    The window is flattened in C order, which is the lexicographic scan
+    order, into a table of shadows that ``packing.greedy_scan`` scans.
     """
     d = domain.d
     diam = 2 * domain.max_abs()
     if L < diam:
         raise ValueError(f"window parameter {L} below domain diameter {diam}")
     omega_plus = [x for x in domain.sorted_elements() if x[0] >= 0]
-    shape = (2 * L + 1,) + (2 * L + 1,) * (d - 1)
-    lows = (0,) + (-L,) * (d - 1)
-    covered = np.zeros(shape, dtype=bool)
-    selected: list[Point] = []
-    for offset in np.ndindex(*shape):
-        if covered[offset]:
-            continue
-        p = tuple(o + lo for o, lo in zip(offset, lows))
-        selected.append(p)
-        for w in omega_plus:
-            q = tuple(o + c for o, c in zip(offset, w))
-            if all(0 <= qi < si for qi, si in zip(q, shape)):
-                covered[q] = True
-    window_size = int(np.prod(shape))
-    run = GreedyRun(L, tuple(selected), len(selected),
+    shape = (2 * L + 1,) * d
+    window_size = math.prod(shape)
+    coords = np.indices(shape).reshape(d, window_size)
+    # shadow[k, i]: flat index of point i + omega_plus[k], window_size
+    # where that point leaves the window
+    shadow = np.empty((len(omega_plus), window_size), dtype=np.int64)
+    for k, w in enumerate(omega_plus):
+        q = coords + np.array(w)[:, None]
+        inside = ((q >= 0) & (q < 2 * L + 1)).all(axis=0)
+        shadow[k] = np.where(
+            inside, np.ravel_multi_index(tuple(q), shape, mode="clip"),
+            window_size)
+    lows = np.array((0,) + (-L,) * (d - 1))
+    picked = coords[:, greedy_scan(shadow)].T + lows
+    run = GreedyRun(L, tuple(map(tuple, picked.tolist())), len(picked),
                     Fraction(window_size, len(omega_plus)), window_size)
     _verify_window_packing(domain, run)
     return run
 
 
 def _verify_window_packing(domain: LatticeDomain, run: GreedyRun) -> None:
-    """Pairwise check restricted to nearby pairs (differences are bounded
-    by the domain's reach, so distant pairs cannot collide)."""
-    reach = domain.max_abs()
+    """Reject a selection in which two points differ by a nonzero domain
+    point. The pair named is the first clash in lexicographic order: the
+    least point p that clashes with a later one, and its least partner.
+
+    The sorted selection gets a first-position array over its bounding box,
+    padded by the domain's reach, and p + x is looked up for each
+    lexicographically positive domain point x: O(|selection| |domain|)
+    time plus the box.
+    """
     pts = sorted(run.selected)
+    if not pts:
+        return
+    reach = domain.max_abs()
+    P = np.array(pts, dtype=np.int64)
+    lo = P.min(axis=0) - reach
+    shape = tuple((P.max(axis=0) + reach - lo + 1).tolist())
+    at = np.ravel_multi_index(tuple((P - lo).T), shape)
+    first = np.full(math.prod(shape), len(pts), dtype=np.int64)
+    values, where = np.unique(at, return_index=True)
+    first[values] = where
+    strides = np.array([math.prod(shape[i + 1:]) for i in range(domain.d)])
     zero = (0,) * domain.d
-    for i, p in enumerate(pts):
-        j = i + 1
-        while j < len(pts) and pts[j][0] - p[0] <= reach:
-            diff = tuple(a - b for a, b in zip(pts[j], p))
-            if diff != zero and diff in domain:
-                raise CertificateInvalidError(
-                    f"greedy output is not a packing: {pts[j]} - {p} in domain")
-            j += 1
+    partner = np.full(len(pts), len(pts), dtype=np.int64)
+    for x in domain.sorted_elements():
+        if x > zero:
+            np.minimum(partner, first[at + int(np.dot(x, strides))],
+                       out=partner)
+    bad = np.flatnonzero(partner < len(pts))
+    if bad.size:
+        p, q = pts[bad[0]], pts[partner[bad[0]]]
+        raise CertificateInvalidError(
+            f"greedy output is not a packing: {q} - {p} in domain")
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque scalar per row of an int64 matrix, equal iff rows are."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))
+                     ).ravel()
 
 
 def witness_zd(H, domain: LatticeDomain) -> BoundReport:
@@ -386,11 +416,23 @@ def witness_zd(H, domain: LatticeDomain) -> BoundReport:
                                    offender=None)
     if not pts:
         raise WitnessRejectedError("witness set is empty", offender=None)
-    for a in pts:
-        for b in pts:
-            diff = tuple(x - y for x, y in zip(a, b))
-            if diff not in domain:
-                raise WitnessRejectedError(
-                    f"difference {diff} escapes the domain", offender=diff)
+    # rows of H shifted to the corner of its bounding box, so differences
+    # are formed exactly in int64; domain points outside the box of
+    # differences cannot match and are left out of the lookup
+    lo = [min(c) for c in zip(*pts)]
+    P = np.array([[c - m for c, m in zip(p, lo)] for p in pts],
+                 dtype=np.int64)
+    span = P.max(axis=0).tolist()
+    keys = _row_keys(np.array(
+        [x for x in domain.sorted_elements()
+         if all(abs(c) <= s for c, s in zip(x, span))], dtype=np.int64))
+    # the differences a - b in the order a over H, then b over H, one a at
+    # a time, so memory stays O(|H|)
+    for i, a in enumerate(pts):
+        outside = np.flatnonzero(~np.isin(_row_keys(P[i] - P), keys))
+        if outside.size:
+            diff = tuple(x - y for x, y in zip(a, pts[outside[0]]))
+            raise WitnessRejectedError(
+                f"difference {diff} escapes the domain", offender=diff)
     return BoundReport(float(len(pts)), "autocorrelation-witness", "lower",
                        {"H": sorted(pts)})

@@ -13,9 +13,18 @@ branching lowest-index-first with the include branch explored first makes
 the first optimum found the lexicographically least one.
 
 Every step reads one integer table, shift[k, v] = index(v + omega_k),
-built once per call from ``groups.translate``: the greedy scan clears a
-boolean array, the swap pass keeps coverage counts, and the branch and
-bound turns a column into a bitmask the first time it branches there.
+built by one ``groups.translate`` call: the greedy scan clears a boolean
+array, the swap pass keeps coverage counts, and the branch and bound turns
+a column into a pair of bitmasks the first time it branches there.
+
+A search node is (cand, size, chosen): the candidate bitmask, the number
+of vertices taken, and the taken vertices as a linked (parent, v) chain,
+so making a node costs the same at any depth; the best set is rebuilt
+from its chain only when it improves. The mask pair of v is the
+complement of its closed neighbourhood (the include branch keeps
+cand & outside) and its open neighbourhood (the exclude branch, cand with
+v's bit cleared, is needed only when cand meets it). ``find_spectrum``
+uses the same nodes and masks for its clique search.
 """
 from __future__ import annotations
 
@@ -93,25 +102,49 @@ def packing_bound(group: FiniteAbelianGroup, domain: SymmetricDomain,
 
 
 class NeighbourMasks(dict):
-    """Bitmask of the flat indices ``column(v)``, built when v is first read."""
+    """Bitmask pair (outside, open) of vertex v, built when v is first read.
 
-    def __init__(self, column):
+    ``column(v)`` holds the flat indices adjacent to v, v itself allowed.
+    ``open`` is their mask without v, ``outside`` the mask of the n
+    vertices outside v's closed neighbourhood.
+    """
+
+    def __init__(self, column, n: int):
         super().__init__()
         self.column = column
+        self.n = n
+        self.full = (1 << n) - 1
 
-    def __missing__(self, v: int) -> int:
-        m = 0
-        for i in self.column(v).tolist():
-            m |= 1 << i
-        self[v] = m
-        return m
+    def __missing__(self, v: int) -> tuple[int, int]:
+        bits = np.zeros(self.n, dtype=bool)
+        bits[self.column(v)] = True
+        bits[v] = False
+        neighbours = int.from_bytes(
+            np.packbits(bits, bitorder="little").tobytes(), "little")
+        outside = self.full ^ neighbours ^ (1 << v)
+        self[v] = outside, neighbours
+        return outside, neighbours
 
 
-def _greedy(shift: np.ndarray) -> list[int]:
-    """Take the lowest free vertex until none is left, as one forward scan."""
-    free = np.ones(shift.shape[1], dtype=bool)
+def chain_vertices(chosen) -> list[int]:
+    """The vertices of a linked (parent, v) chain, in the order taken."""
     out = []
-    for v in range(len(free)):
+    while chosen is not None:
+        chosen, v = chosen
+        out.append(v)
+    return out[::-1]
+
+
+def greedy_scan(shift: np.ndarray) -> list[int]:
+    """Take the lowest free vertex until none is left, as one forward scan.
+
+    An entry equal to the column count stands for a translate outside the
+    vertex set and clears nothing.
+    """
+    n = shift.shape[1]
+    free = np.ones(n + 1, dtype=bool)
+    out = []
+    for v in range(n):
         if free[v]:
             out.append(v)
             free[shift[:, v]] = False
@@ -164,11 +197,12 @@ def max_packing_set(group: FiniteAbelianGroup, domain: SymmetricDomain,
     # shift[k, v] = index(v + omega_k), Omega in enumeration order: column
     # v is the closed neighbourhood of v in the Cayley graph
     vertices = np.arange(n, dtype=np.int64)
-    shift = np.array([translate(group.moduli, vertices, group.index(x))
-                      for x in domain.sorted_elements()])
+    omega = np.array([group.index(x) for x in domain.sorted_elements()],
+                     dtype=np.int64)
+    shift = translate(group.moduli, vertices[None, :], omega[:, None])
     deadline = (time.monotonic() + budget.time_limit
                 if budget.time_limit is not None else None)
-    greedy = _greedy(shift)
+    greedy = greedy_scan(shift)
     best = list(greedy)
 
     if n > EXACT_SEARCH_VERTEX_CAP:
@@ -176,12 +210,12 @@ def max_packing_set(group: FiniteAbelianGroup, domain: SymmetricDomain,
         elems = tuple(group.element(v) for v in improved)
         return PackingSet(group, elems, True, GREEDY_ONLY, nodes=0)
 
-    closed_masks = NeighbourMasks(lambda v: shift[:, v])
+    masks = NeighbourMasks(lambda v: shift[:, v], n)
     nodes = 0
     exhausted = False
-    full = (1 << n) - 1
-    # stack of (candidate mask, chosen list); branch on lowest candidate
-    stack: list[tuple[int, tuple[int, ...]]] = [(full, ())]
+    # stack of (candidate mask, size, chosen) with chosen a linked
+    # (parent, v) chain; branch on the lowest candidate
+    stack: list[tuple[int, int, tuple | None]] = [((1 << n) - 1, 0, None)]
     while stack:
         nodes += 1
         if nodes > budget.node_limit:
@@ -190,23 +224,21 @@ def max_packing_set(group: FiniteAbelianGroup, domain: SymmetricDomain,
         if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
             exhausted = True
             break
-        cand, chosen = stack.pop()
+        cand, size, chosen = stack.pop()
         if not cand:
-            if len(chosen) > len(best):
-                best = list(chosen)
+            if size > len(best):
+                best = chain_vertices(chosen)
             continue
-        if len(chosen) + cand.bit_count() <= len(best):
+        if size + cand.bit_count() <= len(best):
             continue
-        v = (cand & -cand).bit_length() - 1
-        closed = closed_masks[v]
-        include = (cand & ~closed, chosen + (v,))
-        if cand & closed & ~(1 << v):
+        low = cand & -cand
+        v = low.bit_length() - 1
+        outside, neighbours = masks[v]
+        if cand & neighbours:
             # exclude branch explored after include (LIFO: push it first)
-            stack.append((cand & ~(1 << v), chosen))
-            stack.append(include)
-        else:
-            # v conflicts with nothing left: taking it is never worse
-            stack.append(include)
+            stack.append((cand ^ low, size, chosen))
+        # include branch; with no neighbour of v left, it is the only one
+        stack.append((cand & outside, size + 1, (chosen, v)))
 
     elems = tuple(group.element(v) for v in best)
     flag = GREEDY_ONLY if exhausted else PROVEN_MAX

@@ -29,8 +29,8 @@ from .errors import CertificateInvalidError, NumericalInconsistencyError
 from .groups import (Element, FiniteAbelianGroup, SymmetricDomain,
                      difference_set, flat, subgroup_generated, translate)
 from .harmonic import _axis_transform, indicator
-from .packing import (NeighbourMasks, max_packing_set, packing_bound,
-                      tiling_bound)
+from .packing import (NeighbourMasks, chain_vertices, max_packing_set,
+                      packing_bound, tiling_bound)
 from .turan_lp import quotient_bound, subgroup_bound, turan_constant
 
 ZERO_TOL = 1e-9
@@ -73,6 +73,21 @@ def _exponent_two(group: FiniteAbelianGroup) -> bool:
     return all(m in (1, 2) for m in group.moduli)
 
 
+def _transform_zeros(group: FiniteAbelianGroup, Hc: list[Element],
+                     tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Magnitudes of the indicator transform of Hc and its zero mask."""
+    ft = _indicator_transform(group, Hc)
+    mags = np.abs(ft)
+    if _exponent_two(group):
+        zero_mask = np.rint(ft.real) == 0
+        if np.abs(ft.real - np.rint(ft.real)).max() > 1e-6:
+            raise NumericalInconsistencyError(
+                "exponent-2 transform is not integral")
+    else:
+        zero_mask = mags <= tol * len(Hc)
+    return mags, zero_mask
+
+
 def transform_zero_set(group: FiniteAbelianGroup, H,
                        tol: float = ZERO_TOL) -> tuple[list[Element], dict]:
     """Characters where the indicator transform of H vanishes.
@@ -83,15 +98,7 @@ def transform_zero_set(group: FiniteAbelianGroup, H,
     threshold, making borderline classifications visible.
     """
     Hc = _canon_set(group, H)
-    ft = _indicator_transform(group, Hc)
-    mags = np.abs(ft)
-    if _exponent_two(group):
-        zero_mask = np.rint(ft.real) == 0
-        if np.abs(ft.real - np.rint(ft.real)).max() > 1e-6:
-            raise NumericalInconsistencyError(
-                "exponent-2 transform is not integral")
-    else:
-        zero_mask = mags <= tol * len(Hc)
+    mags, zero_mask = _transform_zeros(group, Hc, tol)
     edges = [tol * len(Hc) * f for f in (1.0, 10.0, 100.0, 1000.0)]
     hist = {f"<= {f:g}x": int((mags <= e).sum())
             for f, e in zip((1, 10, 100, 1000), edges)}
@@ -154,8 +161,7 @@ def find_spectrum(group: FiniteAbelianGroup, H,
     """
     Hc = _canon_set(group, H)
     h = len(Hc)
-    zeros, _diag = transform_zero_set(group, H, tol)
-    zset = {group.index(z) for z in zeros}
+    zeros = np.flatnonzero(_transform_zeros(group, Hc, tol)[1])
 
     if h == 1:
         cand = SpectrumCandidate(group, tuple(Hc), (group.identity(),), True)
@@ -163,16 +169,17 @@ def find_spectrum(group: FiniteAbelianGroup, H,
 
     # adjacency masks of the zero graph, built lazily: the search typically
     # touches a tiny corner of a potentially large dual group
-    zero_arr = np.array(sorted(zset), dtype=np.int64)
-    masks = NeighbourMasks(lambda v: translate(group.moduli, zero_arr, v))
+    masks = NeighbourMasks(lambda v: translate(group.moduli, zeros, v),
+                           group.order)
     deadline = (time.monotonic() + budget.time_limit
                 if budget.time_limit is not None else None)
 
     nodes = 0
     exhausted = True
-    found: tuple[int, ...] | None = None
-    start = masks[0] & ~1  # candidates adjacent to 0, excluding 0 itself
-    stack: list[tuple[int, tuple[int, ...]]] = [(start, (0,))]
+    found: list[int] | None = None
+    # nodes as in the packing search: (candidate mask, size, chosen chain),
+    # starting from T = {0} with the neighbours of 0 as candidates
+    stack: list[tuple[int, int, tuple | None]] = [(masks[0][1], 1, (None, 0))]
     while stack:
         nodes += 1
         if nodes > budget.node_limit:
@@ -181,16 +188,16 @@ def find_spectrum(group: FiniteAbelianGroup, H,
         if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
             exhausted = False
             break
-        cand, chosen = stack.pop()
-        if len(chosen) == h:
-            found = chosen
+        cand, size, chosen = stack.pop()
+        if size == h:
+            found = chain_vertices(chosen)
             break
-        if len(chosen) + cand.bit_count() < h:
+        if size + cand.bit_count() < h:
             continue
-        v = (cand & -cand).bit_length() - 1
-        rest = cand & ~(1 << v)
-        stack.append((rest, chosen))
-        stack.append((rest & masks[v], chosen + (v,)))
+        low = cand & -cand
+        v = low.bit_length() - 1
+        stack.append((cand ^ low, size, chosen))
+        stack.append((cand & masks[v][1], size + 1, (chosen, v)))
 
     if found is None:
         return SpectrumSearch(None, exhausted, nodes)

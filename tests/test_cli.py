@@ -315,6 +315,25 @@ def test_exit_code_spectrum_needs_base_hint(tmp_path, capsys):
     assert "hints.H" in err
 
 
+@pytest.mark.parametrize("argv", [("turan",),
+                                  ("search", "--what", "spectrum")])
+def test_exit_code_hint_element_of_wrong_rank(tmp_path, capsys, argv):
+    # one base set written flat on Z_2^8: each entry reads as a base set
+    # of bare integers, which are elements of rank 1
+    basis = [[int(j == i) for j in range(8)] for i in range(8)]
+    doc = {"setting": "finite-group", "moduli": [2] * 8,
+           "domain": [[0] * 8], "hints": {"H": basis}}
+    path = problem(tmp_path, doc)
+    code, _, err = run(capsys, argv[0], path, *argv[1:])
+    assert code == 1
+    assert "hints.H[0][0]" in err and "internal error" not in err
+    for key in ("Lambda", "T"):
+        doc["hints"] = {"H": [[[0] * 8]], key: [[[0] * 8], [[1] * 7]]}
+        code, _, err = run(capsys, "turan", problem(tmp_path, doc))
+        assert code == 1
+        assert f"hints.{key}[1][0]" in err
+
+
 def test_exit_code_invalid_periodic_packing(tmp_path, capsys):
     # Z^2 itself is not a packing for this domain: certificate failure
     doc = {"setting": "lattice-z", "dimension": 2,

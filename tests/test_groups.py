@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 import turanlab as tl
@@ -20,6 +21,7 @@ from turanlab import (
     subgroup_generated,
     symmetric_domain,
 )
+from turanlab.groups import translate
 
 
 def test_make_group_basics():
@@ -59,6 +61,22 @@ def test_index_element_round_trip():
         assert len(set(elems)) == G.order
         x = rng.choice(elems)
         assert G.element(G.index(x)) == x
+
+
+def test_translate_matches_element_arithmetic():
+    rng = random.Random(90108)
+    for _ in range(100):
+        moduli = tuple(rng.randint(1, 7) for _ in range(rng.randint(0, 4)))
+        G = make_group(moduli)
+        v, s = (np.array([rng.randrange(G.order)
+                          for _ in range(rng.randint(1, 5))])
+                for _ in range(2))
+        got = translate(moduli, v[None, :], s[:, None])
+        assert got.shape == (len(s), len(v)) and got.dtype == np.int64
+        want = [[G.index(G.add(G.element(int(b)), G.element(int(a))))
+                 for b in v] for a in s]
+        assert got.tolist() == want, moduli
+        assert int(translate(moduli, int(v[0]), int(s[0]))) == want[0][0]
 
 
 def test_element_order_hand_and_lagrange():

@@ -1,11 +1,17 @@
 """Integer-lattice domains: torus reduction, periodic packings, greedy
-windows, finite witnesses."""
+windows, finite witnesses.
+
+The window greedy, its packing check and the witness check run on flat
+arrays; the point-by-point scans they replaced are kept here as the
+references they must match.
+"""
 from __future__ import annotations
 
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from turanlab import (
@@ -27,6 +33,63 @@ from turanlab import (
     upper_bound_z,
     witness_zd,
 )
+from turanlab.lattice import GreedyRun, _verify_window_packing
+
+
+def _reference_window(domain, L):
+    """Lexicographic scan of the window point by point: select each point
+    not yet covered and cover its forward shadow."""
+    d = domain.d
+    omega_plus = [x for x in domain.sorted_elements() if x[0] >= 0]
+    shape = (2 * L + 1,) * d
+    lows = (0,) + (-L,) * (d - 1)
+    covered = np.zeros(shape, dtype=bool)
+    selected = []
+    for offset in np.ndindex(*shape):
+        if covered[offset]:
+            continue
+        selected.append(tuple(o + lo for o, lo in zip(offset, lows)))
+        for w in omega_plus:
+            q = tuple(o + c for o, c in zip(offset, w))
+            if all(0 <= qi < si for qi, si in zip(q, shape)):
+                covered[q] = True
+    size = math.prod(shape)
+    return tuple(selected), len(selected), Fraction(size, len(omega_plus)), size
+
+
+def _reference_window_clash(domain, selected):
+    """Pairwise scan of the sorted selection, over partners within the
+    domain's reach: the first (later, earlier) pair whose difference is a
+    nonzero domain point, or None."""
+    reach = domain.max_abs()
+    pts = sorted(selected)
+    zero = (0,) * domain.d
+    for i, p in enumerate(pts):
+        j = i + 1
+        while j < len(pts) and pts[j][0] - p[0] <= reach:
+            diff = tuple(a - b for a, b in zip(pts[j], p))
+            if diff != zero and diff in domain:
+                return f"{pts[j]} - {p} in domain"
+            j += 1
+    return None
+
+
+def _reference_witness_offender(H, domain):
+    """Pairwise scan: the first difference a - b outside the domain."""
+    for a in H:
+        for b in H:
+            diff = tuple(x - y for x, y in zip(a, b))
+            if diff not in domain:
+                return diff
+    return None
+
+
+def _random_lattice_domain(rng, d, reach):
+    pts = {(0,) * d}
+    for _ in range(rng.randint(1, 4)):
+        x = tuple(rng.randint(-reach, reach) for _ in range(d))
+        pts.update((x, tuple(-c for c in x)))
+    return lattice_domain(d, pts)
 
 
 def test_lattice_domain_validation():
@@ -199,6 +262,66 @@ def test_greedy_packing_window_2d():
     run = greedy_packing_window(dom, 6)
     assert run.achieved >= run.floor
     assert len(run.selected) == run.achieved
+
+
+def test_window_matches_reference_scan_and_check():
+    rng = random.Random(90702)
+    for case in range(24):
+        d = case % 3 + 1
+        dom = _random_lattice_domain(rng, d, 2 if d == 3 else 3)
+        L = 2 * dom.max_abs() + rng.randint(0, 5 if d < 3 else 1)
+        run = greedy_packing_window(dom, L)
+        assert (run.selected, run.achieved, run.floor, run.window_size) == \
+            _reference_window(dom, L), f"case {case}: {sorted(dom.elements)}"
+        # corrupt the selection with translates by domain points: the
+        # check names the pair the pairwise scan meets first
+        for _ in range(3):
+            bad = list(run.selected)
+            for _ in range(rng.randint(1, 3)):
+                p = rng.choice(run.selected)
+                x = rng.choice(dom.sorted_elements())
+                bad.append(tuple(a + b for a, b in zip(p, x)))
+            rng.shuffle(bad)
+            want = _reference_window_clash(dom, bad)
+            corrupted = GreedyRun(L, tuple(bad), len(bad), run.floor,
+                                  run.window_size)
+            if want is None:
+                _verify_window_packing(dom, corrupted)
+            else:
+                with pytest.raises(CertificateInvalidError) as err:
+                    _verify_window_packing(dom, corrupted)
+                assert str(err.value).endswith(want), f"case {case}"
+
+
+def test_witness_zd_matches_pairwise_check():
+    rng = random.Random(90703)
+    rejected = 0
+    for case in range(150):
+        d = rng.randint(1, 3)
+        # H - H for a random H, sometimes with points dropped
+        H = list({tuple(rng.randint(-4, 4) for _ in range(d))
+                  for _ in range(rng.randint(1, 6))})
+        diffs = {tuple(a - b for a, b in zip(x, y)) for x in H for y in H}
+        keep = [x for x in diffs if rng.random() < 0.9 or not any(x)]
+        dom = lattice_domain(d, set(keep) | {tuple(-c for c in x)
+                                             for x in keep})
+        # shifted far from 0, and sometimes with a stray point added
+        shift = [rng.randint(-10 ** 12, 10 ** 12) for _ in range(d)]
+        H = [tuple(a + s for a, s in zip(x, shift)) for x in H]
+        if rng.random() < 0.3:
+            H.insert(rng.randint(0, len(H)),
+                     tuple(a + rng.randint(-9, 9) for a in H[0]))
+            if len(set(H)) != len(H):
+                continue
+        want = _reference_witness_offender(H, dom)
+        if want is None:
+            assert witness_zd(H, dom).value == len(H)
+        else:
+            rejected += 1
+            with pytest.raises(WitnessRejectedError) as err:
+                witness_zd(H, dom)
+            assert err.value.offender == want, f"case {case}"
+    assert rejected >= 30
 
 
 def test_witness_zd_fejer():

@@ -3,8 +3,9 @@
 The search oracle enumerates every subset of the group by bitmask for
 |G| <= 12, so the branch and bound answer is compared against a truly
 independent maximum. The greedy-only path is pinned to a bitmask greedy
-and swap pass kept here as the reference, and the packing check to a
-pairwise scan.
+and swap pass kept here as the reference, the branch and bound to the
+tuple-node search it replaced (node counts included), and the packing
+check to a pairwise scan.
 """
 from __future__ import annotations
 
@@ -106,6 +107,31 @@ def _reference_swaps(masks, chosen) -> list[int]:
     return sorted(sel)
 
 
+def _reference_search(masks, node_limit):
+    """Branch and bound on (candidate mask, chosen tuple) nodes, greedy
+    seeded: returns (best vertices, exhausted, nodes)."""
+    best = _reference_greedy(masks)
+    nodes = 0
+    stack = [((1 << len(masks)) - 1, ())]
+    while stack:
+        nodes += 1
+        if nodes > node_limit:
+            return best, True, nodes
+        cand, chosen = stack.pop()
+        if not cand:
+            if len(chosen) > len(best):
+                best = list(chosen)
+            continue
+        if len(chosen) + cand.bit_count() <= len(best):
+            continue
+        v = (cand & -cand).bit_length() - 1
+        include = (cand & ~masks[v], chosen + (v,))
+        if cand & masks[v] & ~(1 << v):
+            stack.append((cand & ~(1 << v), chosen))
+        stack.append(include)
+    return best, False, nodes
+
+
 def _reference_check(G, dom, lam):
     """Pairwise scan: later element first, then the earliest partner."""
     elems = [G.canon(x if isinstance(x, tuple) else (x,)) for x in lam]
@@ -181,6 +207,32 @@ def test_max_packing_matches_bitmask_oracle():
         assert found.size == want, \
             f"case {case}: {moduli} {sorted(dom.elements)}: " \
             f"search {found.size} oracle {want}"
+
+
+def test_search_matches_reference_branch_and_bound():
+    # same sets, flags and node counts as the tuple-node search, with and
+    # without node-budget cuts
+    rng = random.Random(90505)
+    cut = 0
+    for case in range(200):
+        r = rng.random()
+        moduli = [rng.randint(1, 40)] if r < 0.4 else \
+            [2] * rng.randint(3, 7) if r < 0.7 else \
+            [rng.randint(2, 4) for _ in range(rng.randint(2, 3))]
+        G = make_group(moduli)
+        elems = {G.identity()}
+        for x in rng.sample(G.elements(), min(G.order, rng.randint(0, 6))):
+            elems.update((x, G.neg(x)))
+        dom = symmetric_domain(G, elems)
+        limit = rng.choice([20_000, 20_000, 3, 40, 400, 4000])
+        best, exhausted, nodes = _reference_search(_closed_masks(G, dom),
+                                                   limit)
+        cut += exhausted
+        found = max_packing_set(G, dom, SearchBudget(node_limit=limit))
+        assert ([G.index(x) for x in found.elements],
+                found.maximality == GREEDY_ONLY, found.nodes) == \
+            (best, exhausted, nodes), f"case {case}: {moduli} {limit}"
+    assert cut >= 20
 
 
 def test_budget_exhaustion_keeps_valid_packing():
