@@ -32,21 +32,20 @@ from .bounds import BoundReport, best_lower, best_upper, rank_reports
 from .config import (DEFAULT_BUDGET, DEFAULT_TOLERANCES, LP_GROUP_ORDER_CAP,
                      SearchBudget, Tolerances)
 from .errors import TuranError
-from .groups import (FiniteAbelianGroup, SymmetricDomain, difference_set,
-                     make_group, subgroup_generated, symmetric_domain)
+from .groups import (SymmetricDomain, difference_set, make_group,
+                     subgroup_generated, symmetric_domain)
 from .harmonic import GroupFunction, autocorrelation, indicator
-from .lattice import (PeriodicSet, check_packing_periodic, density_bound_zd,
+from .lattice import (check_packing_periodic, density_bound_zd,
                       explicit_witness_omega_N, interval_domain,
                       lattice_domain, omega_N_domain, omega_N_packing,
                       periodic_set, torus_reduction, upper_bound_z,
                       witness_zd)
-from .packing import (GREEDY_ONLY, PackingSet, max_packing_set, packing_bound,
+from .packing import (GREEDY_ONLY, max_packing_set, packing_bound,
                       tiling_bound)
 from .real_line import (IntervalUnion, TentTrain, interval_union,
                         lattice_certificate, halving_bound,
                         punctured_interval, tent_train, witness_in_domain)
-from .spectral import (SpectrumCandidate, SpectrumSearch, compare_bounds,
-                       find_spectrum, spectral_bound)
+from .spectral import compare_bounds, find_spectrum, spectral_bound
 from .turan_lp import (LPSolution, automorphism_image_constant,
                        product_constant, quotient_bound, subgroup_bound,
                        turan_constant, witness_ratio)
@@ -84,17 +83,8 @@ def _jsonable(obj):
         return obj
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        try:
-            return [_jsonable(v) for v in sorted(obj)]
-        except TypeError:
-            return [_jsonable(v) for v in sorted(obj, key=repr)]
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, FiniteAbelianGroup):
-        return {"moduli": list(obj.moduli)}
     if isinstance(obj, SymmetricDomain):
         return [_jsonable(x) for x in obj.sorted_elements()]
     if isinstance(obj, GroupFunction):
@@ -108,16 +98,6 @@ def _jsonable(obj):
                 "rational": None if obj.exact_value is None
                 else str(obj.exact_value),
                 "diagnostics": _jsonable(obj.diagnostics)}
-    if isinstance(obj, PackingSet):
-        return {"elements": _jsonable(sorted(obj.elements)),
-                "size": obj.size, "verified": obj.verified,
-                "maximality": obj.maximality}
-    if isinstance(obj, SpectrumCandidate):
-        return {"H": _jsonable(sorted(obj.H)), "T": _jsonable(sorted(obj.T)),
-                "verified": obj.verified}
-    if isinstance(obj, SpectrumSearch):
-        return {"candidate": _jsonable(obj.candidate),
-                "exhausted": obj.exhausted, "nodes": obj.nodes}
     if isinstance(obj, TentTrain):
         return {"c": str(obj.c), "D": [str(d) for d in obj.D],
                 "f0": str(obj.f0), "integral": str(obj.integral),
@@ -125,17 +105,6 @@ def _jsonable(obj):
                 "support": _jsonable(obj.support)}
     if isinstance(obj, IntervalUnion):
         return [[str(lo), str(hi)] for lo, hi in obj.pieces]
-    if isinstance(obj, PeriodicSet):
-        return {"basis": _jsonable(obj.basis),
-                "residues": _jsonable(obj.residues),
-                "density": str(obj.density)}
-    if isinstance(obj, BoundReport):
-        return _bound_dict(obj)
-    if hasattr(obj, "_asdict"):
-        return _jsonable(obj._asdict())
-    if hasattr(obj, "__dataclass_fields__"):
-        return {k: _jsonable(getattr(obj, k))
-                for k in obj.__dataclass_fields__}
     return str(obj)
 
 
@@ -199,12 +168,10 @@ def _resolve_tolerances(doc: dict, args) -> Tolerances:
     tol = DEFAULT_TOLERANCES
     raw = doc.get("tolerances")
     if raw is not None:
-        if not isinstance(raw, dict) or set(raw) - {"feasibility", "gap",
-                                                    "reporting"}:
-            raise SpecError("field 'tolerances' accepts feasibility, gap "
-                            "and reporting only")
+        if not isinstance(raw, dict) or set(raw) - {"feasibility", "reporting"}:
+            raise SpecError("field 'tolerances' accepts feasibility and "
+                            "reporting only")
         tol = Tolerances(float(raw.get("feasibility", tol.feasibility)),
-                         float(raw.get("gap", tol.gap)),
                          float(raw.get("reporting", tol.reporting)))
     if args.tol is not None:
         if args.tol <= 0:
@@ -289,8 +256,8 @@ def _run_finite_group(doc, tol, budget):
 
 
 def _elements(raw, rank: int, where: str) -> list:
-    """The elements listed in problem field ``where``: lists of ``rank``
-    integers, or bare integers when the rank is 1."""
+    """The elements listed in problem field ``where``, checked to be lists
+    of ``rank`` coordinates, or bare integers when the rank is 1."""
     if not isinstance(raw, list):
         raise SpecError(f"field '{where}' must be a list of elements")
     for i, x in enumerate(raw):
@@ -299,7 +266,7 @@ def _elements(raw, rank: int, where: str) -> list:
         if size != rank:
             raise SpecError(f"{where}[{i}]: {x!r} is not an element with "
                             f"{rank} coordinate(s)")
-    return [tuple(x) if isinstance(x, list) else x for x in raw]
+    return raw
 
 
 def _element_sets(hints: dict, key: str, rank: int) -> list[list]:
@@ -324,9 +291,9 @@ def _run_lattice_z(doc, tol, budget):
         if not isinstance(raw, dict) or set(raw) != {"basis", "residues"}:
             raise SpecError("lattice-z hint 'Lambda' needs exactly the "
                             "fields basis and residues")
-        lam = periodic_set(d, [tuple(r) for r in raw["basis"]],
-                           [tuple(r) if isinstance(r, list) else (r,)
-                            for r in raw["residues"]])
+        lam = periodic_set(d, raw["basis"],
+                           _elements(raw["residues"], d,
+                                     "hints.Lambda.residues"))
         reports.append(density_bound_zd(domain, lam))
     if "H" in hints:
         reports.append(witness_zd(_elements(hints["H"], d, "hints.H"),
@@ -730,8 +697,8 @@ def build_parser() -> argparse.ArgumentParser:
                 description="Bounds for extremal positive definite "
                             "functions with prescribed support.")
     p.add_argument("--tol", type=float, default=None, metavar="X",
-                   help="reporting tolerance; the feasibility and gap "
-                        "tolerances scale with it")
+                   help="reporting tolerance; the feasibility "
+                        "tolerance scales with it")
     p.add_argument("--budget-nodes", type=int, default=None, metavar="N",
                    help="node cap for combinatorial searches")
     p.add_argument("--time-limit", type=float, default=None, metavar="S",

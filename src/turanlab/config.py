@@ -5,21 +5,18 @@ so a consumer can tighten or relax the whole stack in one place.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class Tolerances:
     # constraint feasibility (min of the transform may dip this far below 0)
     feasibility: float = 1e-9
-    # primal-dual agreement required from an optimal LP solve
-    gap: float = 1e-7
     # tolerance quoted when comparing reported bound values to each other
     reporting: float = 1e-6
 
     def scaled(self, factor: float) -> "Tolerances":
-        return Tolerances(self.feasibility * factor, self.gap * factor,
-                          self.reporting * factor)
+        return Tolerances(self.feasibility * factor, self.reporting * factor)
 
 
 @dataclass(frozen=True)

@@ -43,10 +43,15 @@ class FiniteAbelianGroup:
     def identity(self) -> Element:
         return (0,) * len(self.moduli)
 
-    def canon(self, x: Sequence[int]) -> Element:
-        if len(x) != len(self.moduli):
-            raise ValueError(f"element {x!r} has rank {len(x)}, group has rank {len(self.moduli)}")
-        return tuple(int(c) % m for c, m in zip(x, self.moduli))
+    def canon(self, x) -> Element:
+        """A caller's element as a tuple of Python ints reduced modulo the
+        group: any integer sequence (tuple, list, numpy row), or on a rank-1
+        group a bare Python or numpy integer. A wrong rank is a ValueError.
+        """
+        c = _element_coords(x)
+        if len(c) != len(self.moduli):
+            raise ValueError(f"element {x!r} has rank {len(c)}, group has rank {len(self.moduli)}")
+        return tuple(int(a) % m for a, m in zip(c, self.moduli))
 
     def add(self, x: Element, y: Element) -> Element:
         return tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))
@@ -98,6 +103,11 @@ class FiniteAbelianGroup:
             seen.add(nx)
             chosen.append((x, 1 if nx == x else 2))
         return chosen
+
+
+def _element_coords(x):
+    """x as a coordinate sequence: a bare integer is a one-coordinate element."""
+    return (x,) if isinstance(x, (int, np.integer)) else x
 
 
 @lru_cache(maxsize=128)
@@ -181,22 +191,19 @@ class SymmetricDomain:
         return self.group.pair_representatives(self.elements)
 
     def __contains__(self, x) -> bool:
-        return tuple(x) in self.elements
+        try:
+            return self.group.canon(x) in self.elements
+        except ValueError:
+            return False
 
 
 def symmetric_domain(group: FiniteAbelianGroup, elements: Iterable) -> SymmetricDomain:
     """Validate and build a symmetric domain 0 in Omega = -Omega.
 
-    Rank-1 groups accept bare integers for convenience; coordinates are
-    reduced modulo the group.
+    Elements are read by ``group.canon``, so coordinates are reduced
+    modulo the group and rank-1 groups accept bare integers.
     """
-    elems = set()
-    for x in elements:
-        if isinstance(x, int):
-            if group.rank != 1:
-                raise ValueError("bare integer element in a group of rank != 1")
-            x = (x,)
-        elems.add(group.canon(tuple(x)))
+    elems = {group.canon(x) for x in elements}
     if group.identity() not in elems:
         raise DomainNotSymmetricError("domain must contain 0", offender=group.identity())
     for x in elems:
@@ -207,7 +214,7 @@ def symmetric_domain(group: FiniteAbelianGroup, elements: Iterable) -> Symmetric
 
 def difference_set(group: FiniteAbelianGroup, subset: Iterable) -> SymmetricDomain:
     """H - H as a symmetric domain (always symmetric, always contains 0)."""
-    pts = [group.canon(tuple(h) if not isinstance(h, int) else (h,)) for h in subset]
+    pts = [group.canon(h) for h in subset]
     if not pts:
         raise ValueError("difference set of an empty set")
     diffs = {group.sub(a, b) for a in pts for b in pts}
@@ -235,12 +242,14 @@ class Subgroup:
         return self.group.order // len(self.elements)
 
     def __contains__(self, x) -> bool:
-        return tuple(x) in self.elements
+        try:
+            return self.group.canon(x) in self.elements
+        except ValueError:
+            return False
 
 
 def subgroup_generated(group: FiniteAbelianGroup, generators: Iterable) -> Subgroup:
-    gens = tuple(group.canon(tuple(g) if not isinstance(g, int) else (g,))
-                 for g in generators)
+    gens = tuple(group.canon(g) for g in generators)
     zero = group.identity()
     coords: dict[Element, tuple[int, ...]] = {zero: (0,) * len(gens)}
     frontier = [zero]
@@ -379,8 +388,8 @@ def quotient_group(group: FiniteAbelianGroup, K: Subgroup):
     if quotient.order != expected:
         raise ValueError(f"quotient order {quotient.order} != |G|/|K| = {expected}")
 
-    def project(x: Sequence[int]) -> Element:
-        y = _matvec(P, group.canon(tuple(x)))
+    def project(x) -> Element:
+        y = _matvec(P, group.canon(x))
         return tuple(y[i] % d[i] for i in keep)
 
     return quotient, project
@@ -445,15 +454,15 @@ def endomorphism(group: FiniteAbelianGroup, images: Sequence) -> Callable[[Eleme
     if len(images) != group.rank:
         raise InvalidHomomorphismError(
             f"need {group.rank} generator images, got {len(images)}")
-    imgs = [group.canon(tuple(g) if not isinstance(g, int) else (g,)) for g in images]
+    imgs = [group.canon(g) for g in images]
     for i, (g, m) in enumerate(zip(imgs, group.moduli)):
         o = group.element_order(g)
         if m % o:
             raise InvalidHomomorphismError(
                 f"image {g} of generator {i} has order {o}, not dividing {m}")
 
-    def phi(x: Sequence[int]) -> Element:
-        x = group.canon(tuple(x))
+    def phi(x) -> Element:
+        x = group.canon(x)
         out = group.identity()
         for c, g in zip(x, imgs):
             out = group.add(out, tuple((c * gi) % m for gi, m in zip(g, group.moduli)))
@@ -463,7 +472,7 @@ def endomorphism(group: FiniteAbelianGroup, images: Sequence) -> Callable[[Eleme
 
 
 def apply_endomorphism(group: FiniteAbelianGroup, images: Sequence, x) -> Element:
-    return endomorphism(group, images)(tuple(x) if not isinstance(x, int) else (x,))
+    return endomorphism(group, images)(x)
 
 
 def is_automorphism(group: FiniteAbelianGroup, images: Sequence) -> bool:

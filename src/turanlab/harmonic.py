@@ -61,7 +61,7 @@ class GroupFunction:
         self.values = v
 
     def __call__(self, x) -> float:
-        return float(self.values[self.group.index(self.group.canon(tuple(x)))])
+        return float(self.values[self.group.index(self.group.canon(x))])
 
     def support(self) -> list[Element]:
         return [self.group.element(i) for i in np.flatnonzero(self.values)]
@@ -86,15 +86,13 @@ class DualFunction:
         self.values = v
 
     def __call__(self, t) -> complex:
-        return complex(self.values[self.group.index(self.group.canon(tuple(t)))])
+        return complex(self.values[self.group.index(self.group.canon(t))])
 
 
 def from_dict(group: FiniteAbelianGroup, table: dict) -> GroupFunction:
     v = np.zeros(group.order)
     for x, val in table.items():
-        if isinstance(x, int):
-            x = (x,)
-        v[group.index(group.canon(tuple(x)))] = val
+        v[group.index(group.canon(x))] = val
     return GroupFunction(group, v)
 
 
@@ -107,9 +105,7 @@ def delta(group: FiniteAbelianGroup) -> GroupFunction:
 def indicator(group: FiniteAbelianGroup, subset: Iterable) -> GroupFunction:
     v = np.zeros(group.order)
     for x in subset:
-        if isinstance(x, int):
-            x = (x,)
-        v[group.index(group.canon(tuple(x)))] = 1.0
+        v[group.index(group.canon(x))] = 1.0
     return GroupFunction(group, v)
 
 

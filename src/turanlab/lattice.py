@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -21,7 +20,8 @@ from .bounds import BoundReport
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (CertificateInvalidError, DomainNotSymmetricError,
                      MTooSmallError, WitnessRejectedError)
-from .groups import FiniteAbelianGroup, SymmetricDomain, make_group, symmetric_domain
+from .groups import (FiniteAbelianGroup, SymmetricDomain, _element_coords,
+                     make_group, symmetric_domain)
 from .packing import greedy_scan
 from .rational import solve_fractions
 from .turan_lp import turan_constant
@@ -30,7 +30,7 @@ Point = tuple[int, ...]
 
 
 def _canon_point(x, d: int) -> Point:
-    p = (int(x),) if isinstance(x, int) else tuple(int(c) for c in x)
+    p = tuple(int(c) for c in _element_coords(x))
     if len(p) != d:
         raise ValueError(f"point {x!r} does not have dimension {d}")
     return p
@@ -120,7 +120,8 @@ def default_m_schedule(domain: LatticeDomain) -> list[int]:
         raise ValueError("schedules are defined for d=1 only")
     xs = {x[0] for x in domain.elements}
     N = max(xs)
-    if xs == set(range(-N, N + 1)):
+    # xs is symmetric with largest point N, so 2N + 1 points fill [-N, N]
+    if len(xs) == 2 * N + 1:
         return [10 * (N + 1)]
     if N >= 2 and xs == {0, 1, -1, N, -N}:
         if N % 2 == 1:
@@ -254,7 +255,10 @@ class PeriodicSet:
         return all(sum(a * c for a, c in zip(row, v)) % det == 0 for row in adj)
 
     def __contains__(self, x) -> bool:
-        v = _canon_point(x, self.d)
+        try:
+            v = _canon_point(x, self.d)
+        except ValueError:
+            return False
         return any(
             self._in_lattice(tuple(a - b for a, b in zip(v, r)))
             for r in self.residues)

@@ -65,7 +65,7 @@ def check_packing_set(group: FiniteAbelianGroup, domain: SymmetricDomain,
     partner. Repeats do not clash. Each element's translates by Omega are
     looked up in a position array of lam: O(|lam| |Omega| + |G|) time.
     """
-    elems = [group.canon(x if isinstance(x, tuple) else (x,)) for x in lam]
+    elems = [group.canon(x) for x in lam]
     idx = np.array([group.index(x) for x in elems], dtype=np.int64)
     n_lam = len(idx)
     # first position of each group element in lam, n_lam when absent
@@ -87,8 +87,8 @@ def check_packing_set(group: FiniteAbelianGroup, domain: SymmetricDomain,
 def packing_bound(group: FiniteAbelianGroup, domain: SymmetricDomain,
                   lam) -> BoundReport:
     """Upper bound |G|/|Lambda| from a verified packing set."""
-    raw = lam.elements if isinstance(lam, PackingSet) else tuple(lam)
-    elems = [group.canon(x if isinstance(x, tuple) else (x,)) for x in raw]
+    raw = lam.elements if isinstance(lam, PackingSet) else lam
+    elems = [group.canon(x) for x in raw]
     if len(set(elems)) != len(elems):
         raise CertificateInvalidError("packing set has repeated elements")
     ok, pair = check_packing_set(group, domain, elems)
@@ -267,8 +267,8 @@ def tiling_bound(group: FiniteAbelianGroup, domain: SymmetricDomain,
     Needs the domain inside H-H and the translates H+l pairwise disjoint
     (a packing at level 1); anything else is rejected.
     """
-    Hset = {group.canon(x if isinstance(x, tuple) else (x,)) for x in H}
-    Lset = {group.canon(x if isinstance(x, tuple) else (x,)) for x in lam}
+    Hset = {group.canon(x) for x in H}
+    Lset = {group.canon(x) for x in lam}
     diff = difference_set(group, Hset)
     outside = [x for x in domain.elements if x not in diff]
     if outside:

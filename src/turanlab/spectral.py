@@ -57,9 +57,7 @@ class SpectrumReport(NamedTuple):
 
 
 def _canon_set(group: FiniteAbelianGroup, xs) -> list[Element]:
-    out = []
-    for x in xs:
-        out.append(group.canon(x if isinstance(x, tuple) else (x,)))
+    out = [group.canon(x) for x in xs]
     if len(set(out)) != len(out):
         raise ValueError("set has repeated elements")
     return sorted(out, key=group.index)

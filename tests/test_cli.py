@@ -334,6 +334,24 @@ def test_exit_code_hint_element_of_wrong_rank(tmp_path, capsys, argv):
         assert f"hints.{key}[1][0]" in err
 
 
+def test_exit_code_residue_of_wrong_rank(tmp_path, capsys):
+    doc = json.loads(json.dumps(EX_PLANE))
+    doc["hints"]["Lambda"]["residues"] = [[0, 0], [1, 0, 0]]
+    code, _, err = run(capsys, "turan", problem(tmp_path, doc))
+    assert code == 1
+    assert "hints.Lambda.residues[1]" in err
+
+
+def test_tolerances_field(tmp_path, capsys):
+    doc = dict(EX_Z8, tolerances={"feasibility": 1e-9, "reporting": 1e-6})
+    code, out, _ = run(capsys, "turan", problem(tmp_path, doc))
+    assert code == 0 and json.loads(out)["tight"] is True
+    doc["tolerances"]["gap"] = 1e-7
+    code, _, err = run(capsys, "turan", problem(tmp_path, doc))
+    assert code == 1
+    assert "feasibility and reporting only" in err
+
+
 def test_exit_code_invalid_periodic_packing(tmp_path, capsys):
     # Z^2 itself is not a packing for this domain: certificate failure
     doc = {"setting": "lattice-z", "dimension": 2,

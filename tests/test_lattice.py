@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -128,6 +129,20 @@ def test_default_m_schedule_shapes():
         [12, 14, 16]
     with pytest.raises(ValueError):
         default_m_schedule(lattice_domain(2, [(0, 0)]))
+
+
+def test_default_m_schedule_costs_nothing_for_a_far_point():
+    # a three-point domain with a far point is not an interval; telling
+    # so must not build the 2N + 1 points of [-N, N]
+    dom = lattice_domain(1, [0, 10**6, -10**6])
+    tracemalloc.start()
+    try:
+        schedule = default_m_schedule(dom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert schedule == [2 * 10**6 + 4, 2 * 10**6 + 6, 2 * 10**6 + 8]
+    assert peak < 1_000_000
 
 
 def test_upper_bound_z_interval():
