@@ -257,15 +257,14 @@ def _run_finite_group(doc, tol, budget):
 
 def _elements(raw, rank: int, where: str) -> list:
     """The elements listed in problem field ``where``, checked to be lists
-    of ``rank`` coordinates, or bare integers when the rank is 1."""
+    of ``rank`` integer coordinates, or bare integers when the rank is 1."""
     if not isinstance(raw, list):
         raise SpecError(f"field '{where}' must be a list of elements")
     for i, x in enumerate(raw):
-        size = (len(x) if isinstance(x, list)
-                else 1 if isinstance(x, int) else None)
-        if size != rank:
+        coords = x if isinstance(x, list) else [x]
+        if len(coords) != rank or not all(isinstance(c, int) for c in coords):
             raise SpecError(f"{where}[{i}]: {x!r} is not an element with "
-                            f"{rank} coordinate(s)")
+                            f"{rank} integer coordinate(s)")
     return raw
 
 

@@ -6,9 +6,10 @@ lexicographic on the coordinates (first coordinate most significant), and
 every module downstream relies on that order for determinism.
 
 This module is the one home of that index arithmetic: ``index`` and
-``element`` convert single elements, and ``digits``, ``flat`` and
-``translate`` do the same on numpy arrays of flat indices for the LP,
-the packing and spectrum searches and the certificate checkers.
+``element`` convert single elements, and ``digits``, ``flat``,
+``negation_pairs`` and ``translate`` do the same on numpy arrays of flat
+indices for the LP, the packing and spectrum searches and the
+certificate checkers.
 
 Quotients and subgroup renormalization go through an exact integer Smith
 normal form so the result is again a product of cyclic groups together
@@ -91,18 +92,12 @@ class FiniteAbelianGroup:
         """One representative per negation pair {x, -x}, with the pair size.
 
         0 is skipped. Representatives come out in enumeration order, the
-        lexicographically smaller member of each pair first.
+        lexicographically smaller member of each pair first (or the only
+        member present).
         """
-        chosen: list[tuple[Element, int]] = []
-        seen: set[Element] = set()
-        for x in sorted(elems, key=self.index):
-            if all(c == 0 for c in x) or x in seen:
-                continue
-            nx = self.neg(x)
-            seen.add(x)
-            seen.add(nx)
-            chosen.append((x, 1 if nx == x else 2))
-        return chosen
+        idx = sorted({self.index(x) for x in elems})
+        reps, sizes = negation_pairs(self.moduli, idx)
+        return [(self.element(i), s) for i, s in zip(reps.tolist(), sizes.tolist())]
 
 
 def _element_coords(x):
@@ -134,6 +129,18 @@ def flat(moduli: tuple[int, ...], coords: np.ndarray) -> np.ndarray:
     for j, m in enumerate(moduli):
         idx = idx * m + coords[..., j] % m
     return idx
+
+
+def negation_pairs(moduli: tuple[int, ...], idx) -> tuple[np.ndarray, np.ndarray]:
+    """One representative per negation pair {x, -x} among the ascending,
+    distinct flat indices ``idx``, and the pair size (1 when x = -x, else
+    2); 0 is skipped. A representative is the first member of its pair in
+    ``idx``: the smaller flat index, or the only one present."""
+    idx = np.asarray(idx, dtype=np.int64)
+    neg = flat(moduli, -digits(moduli, idx))
+    present = idx.take(np.searchsorted(idx, neg), mode="clip") == neg
+    keep = (idx > 0) & ((idx <= neg) | ~present)
+    return idx[keep], np.where(idx[keep] == neg[keep], 1, 2)
 
 
 def translate(moduli: tuple[int, ...], v, s) -> np.ndarray:

@@ -43,9 +43,18 @@ def root_of_unity(frac: Fraction) -> complex:
 
 
 @lru_cache(maxsize=64)
+def _root_table(n: int) -> np.ndarray:
+    """exp(-2 pi i k / n) for k < n, exact at quarter turns (read-only,
+    since every caller with this n shares it)."""
+    table = np.array([root_of_unity(Fraction(k, n)) for k in range(n)])
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=64)
 def _dft_matrix(n: int) -> np.ndarray:
-    w = [root_of_unity(Fraction(j, n)) for j in range(n)]
-    return np.array([[w[(t * x) % n] for x in range(n)] for t in range(n)])
+    r = np.arange(n)
+    return _root_table(n)[np.outer(r, r) % n]
 
 
 @dataclass

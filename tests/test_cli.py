@@ -334,6 +334,14 @@ def test_exit_code_hint_element_of_wrong_rank(tmp_path, capsys, argv):
         assert f"hints.{key}[1][0]" in err
 
 
+def test_exit_code_non_integer_coordinate(tmp_path, capsys):
+    doc = {"setting": "finite-group", "moduli": [4, 4],
+           "domain": [[0, 0], [1.5, 0], [3, 0]]}
+    code, out, err = run(capsys, "turan", problem(tmp_path, doc))
+    assert code == 1 and out == ""
+    assert "domain[1]" in err and "internal error" not in err
+
+
 def test_exit_code_residue_of_wrong_rank(tmp_path, capsys):
     doc = json.loads(json.dumps(EX_PLANE))
     doc["hints"]["Lambda"]["residues"] = [[0, 0], [1, 0, 0]]

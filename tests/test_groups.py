@@ -129,6 +129,29 @@ def test_pair_representatives():
             seen.add(x)
 
 
+def _pair_representatives_by_tuples(G, elems):
+    """Enumeration order, 0 skipped, the first member of each pair present."""
+    chosen, seen = [], set()
+    for x in sorted(elems, key=G.index):
+        if all(c == 0 for c in x) or x in seen:
+            continue
+        nx = G.neg(x)
+        seen.update((x, nx))
+        chosen.append((x, 1 if nx == x else 2))
+    return chosen
+
+
+def test_pair_representatives_match_the_tuple_rule():
+    rng = random.Random(90104)
+    for case in range(300):
+        G = make_group([rng.randint(1, 7) for _ in range(rng.randint(0, 3))])
+        elems = rng.sample(G.elements(), rng.randint(0, G.order))
+        if case % 2:
+            elems += [G.neg(x) for x in elems]
+        want = _pair_representatives_by_tuples(G, elems)
+        assert G.pair_representatives(elems) == want, (G.moduli, elems)
+
+
 def test_symmetric_domain_validation():
     G = make_group([6])
     dom = symmetric_domain(G, [0, 1, 5])

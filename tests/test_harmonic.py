@@ -28,7 +28,7 @@ from turanlab import (
     parseval_gap,
     reflect,
 )
-from turanlab.harmonic import _axis_transform, _dft_matrix
+from turanlab.harmonic import _axis_transform, _dft_matrix, root_of_unity
 
 
 def test_group_function_basics():
@@ -140,6 +140,20 @@ def test_reflect_is_negation_on_mixed_groups():
         r = reflect(f)
         for x in G.elements():
             assert r.values[G.index(G.neg(x))] == f.values[G.index(x)]
+
+
+def _dft_matrix_by_comprehension(n):
+    """The DFT matrix as the nested comprehension over root_of_unity."""
+    w = [root_of_unity(Fraction(j, n)) for j in range(n)]
+    return np.array([[w[(t * x) % n] for x in range(n)] for t in range(n)])
+
+
+@pytest.mark.parametrize("n", list(range(1, 14)) + [97, 256])
+def test_dft_matrix_is_the_comprehension_bit_for_bit(n):
+    got = _dft_matrix(n)
+    want = _dft_matrix_by_comprehension(n)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def _dense_axis_product(arr, moduli, conjugate):

@@ -30,6 +30,7 @@ from turanlab import (
     verify_dual_certificate,
     witness_ratio,
 )
+from turanlab.config import LP_GROUP_ORDER_CAP
 
 # cos(2 pi k / L) for the moduli where it is rational
 _COS = {
@@ -118,15 +119,15 @@ def test_problem_shape():
     prob = build_lp_problem(G, dom)
     assert prob.n_vars == 3          # pairs {1,7}, {3,5}, {4}
     assert prob.n_rows == 5          # 0, {1,7}, {2,6}, {3,5}, {4}
-    with pytest.raises(ValueError):
-        build_lp_problem(G, dom, constants=[1.0, 1.0])
 
 
 def test_exact_mode_needs_two_groups():
     G = make_group([3])
     dom = symmetric_domain(G, [0])
-    with pytest.raises(ValueError):
-        build_lp_problem(G, dom, exact=True)
+    with pytest.raises(ValueError, match="exact mode"):
+        solve_lp(build_lp_problem(G, dom), mode="exact-rational")
+    with pytest.raises(ValueError, match="exact mode"):
+        turan_constant(G, dom, mode="exact-rational")
     with pytest.raises(ValueError):
         solve_lp(build_lp_problem(G, dom), mode="nonsense")
 
@@ -239,6 +240,19 @@ def test_dual_certificate_round_trip_and_tamper():
         verify_dual_certificate(sol.problem, -np.ones(sol.problem.n_rows))
 
 
+def test_certificate_arithmetic_follows_the_weights():
+    """Fraction weights are checked exactly and prove a Fraction bound;
+    the same weights as floats are checked in float."""
+    G, dom = _hh_domain(4)
+    sol = turan_constant(G, dom, mode="exact-rational")
+    assert all(isinstance(v, Fraction) for v in sol.dual)
+    exact = verify_dual_certificate(sol.problem, sol.dual)
+    assert isinstance(exact, Fraction) and exact == sol.exact_value == 4
+    floats = verify_dual_certificate(sol.problem, [float(v) for v in sol.dual])
+    assert type(floats) is float
+    assert floats == pytest.approx(4.0, abs=1e-9)
+
+
 def test_subgroup_and_quotient_bounds_z10():
     G = make_group([10])
     dom = symmetric_domain(G, [0, 1, 3, 5, 7, 9])
@@ -268,9 +282,9 @@ def test_automorphism_image_constant():
 
 
 def test_order_cap_falls_back_to_trivial_bracket():
-    G = make_group([16])
-    dom = symmetric_domain(G, [0, 1, 15])
-    sol = turan_constant(G, dom, order_cap=8)
+    G = make_group([LP_GROUP_ORDER_CAP + 1])
+    dom = symmetric_domain(G, [0, 1, LP_GROUP_ORDER_CAP])
+    sol = turan_constant(G, dom)
     assert sol.status == "budget-exceeded"
     assert sol.value == 3.0
     assert sol.f((0,)) == 1.0 and sol.f.total() == 1.0
@@ -328,8 +342,7 @@ def test_exact_rows_match_sign_transform():
     rng = random.Random(90406)
     for case in range(40):
         G = make_group([2] * rng.randint(1, 8) + [1] * rng.randint(0, 1))
-        prob = build_lp_problem(G, _random_domain(rng, G, rng.randint(1, 6)),
-                                exact=True)
+        prob = build_lp_problem(G, _random_domain(rng, G, rng.randint(1, 6)))
         for r, (t, _s) in enumerate(prob.dual_pairs):
             delta = [0] * G.order
             delta[G.index(t)] = 1
@@ -379,7 +392,7 @@ def test_price_offers_rows_once_in_rc_order(monkeypatch, k, mode):
     calls = _record_pricing(monkeypatch)
     G, dom = _hh_domain(k)
     exact = mode == "exact-rational"
-    prob = build_lp_problem(G, dom, exact=exact)
+    prob = build_lp_problem(G, dom)
     sol = solve_lp(prob, mode)
     assert sol.status == "optimal" and sol.value == pytest.approx(k)
     if exact:
