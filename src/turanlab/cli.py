@@ -217,16 +217,22 @@ def _rat_field(value, where: str) -> Fraction:
 # the turan subcommand
 
 
-def _run_finite_group(doc, tol, budget):
+def _finite_group(doc):
+    """The group, the domain and the mode of a finite-group problem."""
     if "moduli" not in doc:
         raise SpecError("finite-group problems need field 'moduli'")
     group = make_group(doc["moduli"])
     domain = symmetric_domain(group, _elements(doc["domain"], group.rank,
                                                "domain"))
-    hints = doc.get("hints", {})
     mode = doc.get("mode", "float")
     if mode not in ("float", "exact-rational"):
         raise SpecError(f"mode must be float or exact-rational, got {mode!r}")
+    return group, domain, mode
+
+
+def _run_finite_group(doc, tol, budget):
+    group, domain, mode = _finite_group(doc)
+    hints = doc.get("hints", {})
     spectra = _element_sets(hints, "T", group.rank)
     if spectra and len(spectra) > len(hints.get("H", [])):
         raise SpecError("hint 'T' entries pair with 'H' by position; "
@@ -283,7 +289,16 @@ def _run_lattice_z(doc, tol, budget):
         raise SpecError("field 'dimension' must be a positive integer")
     domain = lattice_domain(d, _elements(doc["domain"], d, "domain"))
     hints = doc.get("hints", {})
-    torus = upper_bound_z(domain, hints.get("M"), tolerances=tol)
+    Ms = hints.get("M")
+    if Ms is None and d > 1:
+        raise SpecError("lattice-z problems of dimension above 1 need "
+                        "hints.M")
+    if Ms is not None and not (
+            isinstance(Ms, list) and Ms
+            and all(type(M) is int and M > 0 for M in Ms)):
+        raise SpecError("hint 'M' must be a non-empty list of positive "
+                        "integers")
+    torus = upper_bound_z(domain, Ms, tolerances=tol)
     reports = [torus]
     if "Lambda" in hints:
         raw = hints["Lambda"]
@@ -391,11 +406,7 @@ def cmd_search(args) -> int:
     if doc["setting"] != "finite-group":
         raise SpecError("search works on finite-group problems only")
     budget = _resolve_budget(doc, args)
-    if "moduli" not in doc:
-        raise SpecError("finite-group problems need field 'moduli'")
-    group = make_group(doc["moduli"])
-    domain = symmetric_domain(group, _elements(doc["domain"], group.rank,
-                                               "domain"))
+    group, domain, _mode = _finite_group(doc)
     out = {"tool": f"turanlab {__version__}",
            "what": args.what,
            "moduli": list(group.moduli),

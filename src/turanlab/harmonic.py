@@ -146,11 +146,11 @@ def dft(f: GroupFunction) -> DualFunction:
     return DualFunction(f.group, _axis_transform(f.values, f.group.moduli, False))
 
 
-def idft(F: DualFunction, imag_tol: float = 1e-9) -> GroupFunction:
+def idft(F: DualFunction) -> GroupFunction:
     vals = _axis_transform(F.values, F.group.moduli, True) / F.group.order
     worst = float(np.abs(vals.imag).max()) if vals.size else 0.0
     scale = max(1.0, float(np.abs(F.values).sum()))
-    if worst > imag_tol * scale:
+    if worst > 1e-9 * scale:
         raise ValueError(f"inverse transform is not real: max imag {worst:.3e}")
     return GroupFunction(F.group, vals.real)
 
@@ -211,14 +211,13 @@ class PDReport(NamedTuple):
     tol: float
 
 
-def is_positive_definite(f: GroupFunction, tol: float | None = None) -> PDReport:
+def is_positive_definite(f: GroupFunction) -> PDReport:
     """Bochner test: positive definite iff the transform is nonnegative.
 
-    Default tolerance 1e-9 scaled by the l1 mass of f. Both extrema are
+    The tolerance is 1e-9 scaled by the l1 mass of f. Both extrema are
     reported so callers can see the margin, not just the verdict.
     """
-    if tol is None:
-        tol = 1e-9 * max(1.0, f.l1())
+    tol = 1e-9 * max(1.0, f.l1())
     F = dft(f).values
     min_real = float(F.real.min()) if F.size else 0.0
     max_imag = float(np.abs(F.imag).max()) if F.size else 0.0

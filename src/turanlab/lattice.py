@@ -171,7 +171,8 @@ class OmegaNWitness:
 
     p(x) = 1 + 2 f1 cos x + 2 f2n cos(2n x) stays nonnegative and its
     value at 0 realizes the constant 1 + 1/cos(pi/(2n+1)); the zero at
-    x = pi + pi/(2n+1) is what pins optimality.
+    x = pi + pi/(2n+1) is what pins optimality. ``grid_min`` is the least
+    value of p on 100 000 equally spaced points of [0, 2 pi).
     """
 
     n: int
@@ -184,13 +185,13 @@ class OmegaNWitness:
     binding_value: float
 
 
-def explicit_witness_omega_N(n: int, grid: int = 100_000) -> OmegaNWitness:
+def explicit_witness_omega_N(n: int) -> OmegaNWitness:
     if n < 1:
         raise ValueError("n must be at least 1")
     c = math.cos(math.pi / (2 * n + 1))
     f1 = n / ((2 * n + 1) * c)
     f2n = 1 / (2 * (2 * n + 1) * c)
-    xs = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    xs = np.linspace(0.0, 2.0 * math.pi, 100_000, endpoint=False)
     p = 1.0 + 2 * f1 * np.cos(xs) + 2 * f2n * np.cos(2 * n * xs)
     z0 = math.pi + math.pi / (2 * n + 1)
     binding = 1.0 + 2 * f1 * math.cos(z0) + 2 * f2n * math.cos(2 * n * z0)

@@ -3,11 +3,14 @@
 Solves   min  sum_j cost_j lam_j
          s.t. sum_j lam_j col_j = w,   lam >= 0,
 
-where the initial columns are signed unit vectors (so the starting basis
-is diagonal and feasible) and further columns arrive on demand from a
-pricing callback. The basis inverse is maintained explicitly; it is a
-p x p matrix where p is the number of equality rows, so the numerics stay
-well conditioned regardless of how many columns the caller generates.
+over the box columns +e_q (id q) and -e_q (id p + q), all of cost 1,
+which the solver adds itself pair by pair, then the caller's initial
+columns, and further columns that arrive on demand from a pricing
+callback. The start basis takes +e_q where w_q >= 0 and -e_q otherwise,
+so it is diagonal and feasible. The basis inverse is maintained
+explicitly; it is a p x p matrix where p is the number of equality rows,
+so the numerics stay well conditioned regardless of how many columns the
+caller generates.
 
 All state lives in float numpy arrays:
     working set  a preallocated p x capacity matrix, with ``ids`` and
@@ -22,9 +25,9 @@ All state lives in float numpy arrays:
 
 Pivoting: Dantzig entering with a largest-pivot tie-break; Bland's
 anti-cycling rule (lowest column id) takes over after a stall of
-``stall_limit`` pivots without progress and hands back at the next
+``STALL_LIMIT`` pivots without progress and hands back at the next
 strict decrease. A leaving row needs a basis direction above
-``pivot_tol``: smaller entries are within the rounding of the updated
+``PIVOT_TOL``: smaller entries are within the rounding of the updated
 inverse, and Bland's lowest-id tie-break would otherwise pivot on such
 a rounded zero and make the basis singular.
 
@@ -41,7 +44,8 @@ Termination statuses:
     infeasible       an entering column had no positive basis direction
                      (the minimization is unbounded, so the problem this
                      is dual to has no feasible point)
-    budget-exceeded  pivot cap hit; current iterate is still feasible
+    budget-exceeded  ``LP_PIVOT_CAP`` pivots done; the current iterate is
+                     still feasible
 """
 from __future__ import annotations
 
@@ -51,6 +55,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import LP_PIVOT_CAP
+
+# smallest basis direction a leaving row may have
+PIVOT_TOL = 1e-9
+# pivots without progress before Bland's rule takes over
+STALL_LIMIT = 300
 
 # a priced column: (column id, coefficient vector, cost)
 Column = tuple[int, Sequence, float]
@@ -71,15 +80,20 @@ class _Working:
     """Growing working set of columns (id, vector, cost).
 
     Slots ``0 .. n-1`` of the preallocated arrays hold the columns in
-    arrival order; a full set doubles its capacity.
+    arrival order; a full set doubles its capacity. The set starts with
+    the box columns +e_q (id q) and -e_q (id p + q), cost 1, pair by pair.
     """
 
     def __init__(self, p: int, capacity: int):
-        self.n = 0
-        self.pos_of: dict[int, int] = {}
-        self._mat = np.empty((p, capacity))
+        q = np.arange(p)
+        self.n = 2 * p
+        self._mat = np.zeros((p, capacity))
+        self._mat[q, 2 * q] = 1.0
+        self._mat[q, 2 * q + 1] = -1.0
         self._ids = np.empty(capacity, dtype=np.int64)
-        self._costs = np.empty(capacity)
+        self._ids[:2 * p] = np.column_stack((q, p + q)).ravel()
+        self._costs = np.ones(capacity)
+        self.pos_of = dict(zip(self._ids[:2 * p].tolist(), range(2 * p)))
 
     def add(self, cid: int, vec, cost):
         if cid in self.pos_of:
@@ -130,48 +144,27 @@ def solve_column_lp(
     price: Callable,
     *,
     entering_tol: float = 1e-9,
-    pivot_tol: float = 1e-9,
-    pivot_cap: int = LP_PIVOT_CAP,
-    stall_limit: int = 300,
-    start_basis: list[int] | None = None,
 ) -> ColumnLPResult:
-    """price(pi) must return new Columns with negative reduced cost, or []."""
+    """price(pi) must return new Columns with negative reduced cost, or [].
+
+    ``initial_columns`` join the working set after the box columns.
+    """
     w = np.asarray(w, dtype=float)
     p = len(w)
 
-    work = _Working(p, max(16, 2 * len(initial_columns)))
+    work = _Working(p, max(16, 2 * (2 * p + len(initial_columns))))
     for cid, vec, cost in initial_columns:
         work.add(cid, vec, cost)
 
-    # starting basis: for each row q a signed unit column matching sgn(w_q)
-    basis = np.empty(p, dtype=np.int64)
-    slot = np.empty(p, dtype=np.int64)
-    cB = np.empty(p)
-    Binv = np.zeros((p, p))
-    xB = np.empty(p)
-    for q in range(p):
-        want = -1.0 if w[q] < 0.0 else 1.0
-        if start_basis is not None:
-            cid = start_basis[q]
-            vec = work.column(work.pos_of[cid])
-        else:
-            cid = None
-            for c, vec0, _cost in initial_columns:
-                nz = np.flatnonzero(np.asarray(vec0, dtype=float))
-                if len(nz) == 1 and nz[0] == q and (1.0 if vec0[q] > 0.0 else -1.0) == want:
-                    cid, vec = c, vec0
-                    break
-            if cid is None:
-                raise ValueError(f"no signed unit starting column for row {q}")
-        if vec[q] != want:
-            raise ValueError(f"start column for row {q} is not the signed unit")
-        basis[q] = cid
-        slot[q] = work.pos_of[cid]
-        cB[q] = work.costs[slot[q]]
-        Binv[q, q] = want
-        xB[q] = w[q] * want
-    if (xB < 0.0).any():
-        raise ValueError("starting basis is infeasible")
+    # start basis: for each row q the box column of sign sgn(w_q)
+    q = np.arange(p)
+    neg = w < 0.0
+    sign = np.where(neg, -1.0, 1.0)
+    basis = np.where(neg, p + q, q)
+    slot = 2 * q + neg
+    cB = np.ones(p)
+    Binv = np.diag(sign)
+    xB = w * sign
 
     pivots = 0
     bland_pivots = 0
@@ -228,11 +221,11 @@ def solve_column_lp(
                 work.add(cid, vec, cost)
             continue
 
-        if pivots >= pivot_cap:
+        if pivots >= LP_PIVOT_CAP:
             return result("budget-exceeded")
 
         d = Binv @ work.column(enter)
-        eligible = (d > pivot_tol).nonzero()[0]
+        eligible = (d > PIVOT_TOL).nonzero()[0]
         if not len(eligible):
             return ColumnLPResult("infeasible", None, None, {}, pivots,
                                   diagnostics(entering=int(work.ids[enter])))
@@ -270,7 +263,7 @@ def solve_column_lp(
         obj = float(objective())
         if last_obj is not None and obj >= last_obj - 1e-12:
             stall += 1
-            if stall >= stall_limit:
+            if stall >= STALL_LIMIT:
                 bland = True
         else:
             stall = 0

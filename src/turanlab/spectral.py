@@ -23,8 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import BoundReport, rank_reports
-from .config import (DEFAULT_BUDGET, DEFAULT_TOLERANCES, LP_GROUP_ORDER_CAP,
-                     SearchBudget, Tolerances)
+from .config import (DEFAULT_BUDGET, DEFAULT_TOLERANCES, SearchBudget,
+                     Tolerances)
 from .errors import CertificateInvalidError, NumericalInconsistencyError
 from .groups import (Element, FiniteAbelianGroup, SymmetricDomain,
                      difference_set, flat, subgroup_generated, translate)
@@ -71,8 +71,8 @@ def _exponent_two(group: FiniteAbelianGroup) -> bool:
     return all(m in (1, 2) for m in group.moduli)
 
 
-def _transform_zeros(group: FiniteAbelianGroup, Hc: list[Element],
-                     tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _transform_zeros(group: FiniteAbelianGroup,
+                     Hc: list[Element]) -> tuple[np.ndarray, np.ndarray]:
     """Magnitudes of the indicator transform of Hc and its zero mask."""
     ft = _indicator_transform(group, Hc)
     mags = np.abs(ft)
@@ -82,22 +82,22 @@ def _transform_zeros(group: FiniteAbelianGroup, Hc: list[Element],
             raise NumericalInconsistencyError(
                 "exponent-2 transform is not integral")
     else:
-        zero_mask = mags <= tol * len(Hc)
+        zero_mask = mags <= ZERO_TOL * len(Hc)
     return mags, zero_mask
 
 
-def transform_zero_set(group: FiniteAbelianGroup, H,
-                       tol: float = ZERO_TOL) -> tuple[list[Element], dict]:
+def transform_zero_set(group: FiniteAbelianGroup,
+                       H) -> tuple[list[Element], dict]:
     """Characters where the indicator transform of H vanishes.
 
     Exponent-2 groups have integer transform values, so the test there is
-    exact. Otherwise |value| <= tol*|H| counts as zero, and the returned
-    histogram shows how many values sit within 10x, 100x, 1000x of the
-    threshold, making borderline classifications visible.
+    exact. Otherwise |value| <= ZERO_TOL*|H| counts as zero, and the
+    returned histogram shows how many values sit within 10x, 100x, 1000x
+    of the threshold, making borderline classifications visible.
     """
     Hc = _canon_set(group, H)
-    mags, zero_mask = _transform_zeros(group, Hc, tol)
-    edges = [tol * len(Hc) * f for f in (1.0, 10.0, 100.0, 1000.0)]
+    mags, zero_mask = _transform_zeros(group, Hc)
+    edges = [ZERO_TOL * len(Hc) * f for f in (1.0, 10.0, 100.0, 1000.0)]
     hist = {f"<= {f:g}x": int((mags <= e).sum())
             for f, e in zip((1, 10, 100, 1000), edges)}
     zeros = [group.element(int(i)) for i in np.flatnonzero(zero_mask)]
@@ -105,8 +105,7 @@ def transform_zero_set(group: FiniteAbelianGroup, H,
                    float(mags[~zero_mask].min()) if (~zero_mask).any() else None}
 
 
-def is_spectrum(group: FiniteAbelianGroup, H, T,
-                tol: float = ZERO_TOL) -> SpectrumReport:
+def is_spectrum(group: FiniteAbelianGroup, H, T) -> SpectrumReport:
     """Run both spectrum characterizations and require their agreement."""
     Hc = _canon_set(group, H)
     Tc = _canon_set(group, T)
@@ -126,7 +125,7 @@ def is_spectrum(group: FiniteAbelianGroup, H, T,
         for i in range(1, h):
             diffs = flat(group.moduli, coords[i] - coords[:i])
             worst_pair = max(worst_pair, float(mags[diffs].max()))
-        gram_ok = worst_pair <= tol * h
+        gram_ok = worst_pair <= ZERO_TOL * h
 
     # (b) the power sum over shifts of T is flat at |H|^2
     power = (mags ** 2).reshape(group.moduli if group.moduli else (1,))
@@ -134,7 +133,7 @@ def is_spectrum(group: FiniteAbelianGroup, H, T,
     for t in Tc:
         acc += np.roll(power, shift=t, axis=tuple(range(group.rank)))
     dev = float(np.abs(acc - h * h).max())
-    ident_ok = dev <= max(tol, 1e-12) * h * h * max(1, len(Tc))
+    ident_ok = dev <= ZERO_TOL * h * h * max(1, len(Tc))
 
     diag = {"worst_offdiagonal": worst_pair, "identity_deviation": dev,
             "|H|": h, "|T|": len(Tc)}
@@ -146,8 +145,7 @@ def is_spectrum(group: FiniteAbelianGroup, H, T,
 
 
 def find_spectrum(group: FiniteAbelianGroup, H,
-                  budget: SearchBudget = DEFAULT_BUDGET,
-                  tol: float = ZERO_TOL) -> SpectrumSearch:
+                  budget: SearchBudget = DEFAULT_BUDGET) -> SpectrumSearch:
     """Search for a spectrum of H as a clique in the zero-difference graph.
 
     Spectra are translation invariant, so 0 goes into T for free. The
@@ -159,7 +157,7 @@ def find_spectrum(group: FiniteAbelianGroup, H,
     """
     Hc = _canon_set(group, H)
     h = len(Hc)
-    zeros = np.flatnonzero(_transform_zeros(group, Hc, tol)[1])
+    zeros = np.flatnonzero(_transform_zeros(group, Hc)[1])
 
     if h == 1:
         cand = SpectrumCandidate(group, tuple(Hc), (group.identity(),), True)
@@ -200,7 +198,7 @@ def find_spectrum(group: FiniteAbelianGroup, H,
     if found is None:
         return SpectrumSearch(None, exhausted, nodes)
     T = tuple(group.element(v) for v in found)
-    report = is_spectrum(group, Hc, T, tol)
+    report = is_spectrum(group, Hc, T)
     if not report.flag:
         raise NumericalInconsistencyError(
             f"search produced a non-spectrum: {report.diagnostics}")
@@ -279,12 +277,12 @@ def compare_bounds(group: FiniteAbelianGroup, domain: SymmetricDomain,
         except CertificateInvalidError:
             pass
 
-    if group.order <= LP_GROUP_ORDER_CAP:
-        sol = turan_constant(group, domain, tolerances=tolerances)
-        if sol.status == "optimal":
-            reports.append(BoundReport(sol.value, "lp", "upper",
-                                       {"solution": sol}))
-            reports.append(BoundReport(sol.value - sol.gap, "lp-witness",
-                                       "lower", {"f": sol.f}))
+    # over the LP order cap the solve ends budget-exceeded and adds nothing
+    sol = turan_constant(group, domain, tolerances=tolerances)
+    if sol.status == "optimal":
+        reports.append(BoundReport(sol.value, "lp", "upper",
+                                   {"solution": sol}))
+        reports.append(BoundReport(sol.value - sol.gap, "lp-witness",
+                                   "lower", {"f": sol.f}))
 
     return rank_reports(reports)

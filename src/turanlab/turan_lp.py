@@ -134,7 +134,8 @@ class LPSolution:
 
     status ``optimal``: value is the certified optimum, gap tiny.
     status ``budget-exceeded``: value is still a valid upper bound and f a
-    valid witness, only the two need not meet.
+    valid witness, only the two need not meet; a group over
+    ``LP_GROUP_ORDER_CAP`` is not solved, and f is None.
     status ``infeasible``: the simplex found no feasible point; value/f/dual
     are absent.
     ``exact_value``: in exact mode, the optimum proven in Fractions from
@@ -318,15 +319,6 @@ def solve_lp(problem: LPProblem, mode: str = "float",
                           Fraction(1) if exact else None)
 
     w = problem.sizes.astype(float)
-    initial = []
-    for q in range(p):
-        e = np.zeros(p)
-        e[q] = 1.0
-        initial.append((q, e, 1.0))
-        e2 = np.zeros(p)
-        e2[q] = -1.0
-        initial.append((p + q, e2, 1.0))
-
     tol = tolerances.feasibility
     offered = np.zeros(problem.n_rows, dtype=bool)
 
@@ -340,18 +332,16 @@ def solve_lp(problem: LPProblem, mode: str = "float",
         offered[take] = True
         return [(2 * p + r, -problem.row(r), 1.0) for r in take.tolist()]
 
-    start = list(range(p))  # every weight is positive, so box+ columns
+    # the simplex holds the box columns itself
     try:
-        res = solve_column_lp(
-            w, initial, price, entering_tol=tol, start_basis=start)
+        res = solve_column_lp(w, [], price, entering_tol=tol)
         restarts = 0
     except SingularBasisError:
         # deterministic tiny perturbation of the objective, then re-solve;
         # the certificate check against the unperturbed data still applies
         wp = np.array([w[q] * (1.0 + 1e-9 * (q + 1) / p) for q in range(p)])
         offered[:] = False
-        res = solve_column_lp(
-            wp, initial, price, entering_tol=tol, start_basis=start)
+        res = solve_column_lp(wp, [], price, entering_tol=tol)
         restarts = 1
 
     diag = {"pivots": res.pivots, "perturbed_restarts": restarts}
@@ -382,24 +372,21 @@ def turan_constant(group: FiniteAbelianGroup, domain: SymmetricDomain,
     """Largest sum/f(0) ratio over positive definite f supported in domain.
 
     Groups of order above ``LP_GROUP_ORDER_CAP`` are not solved; the
-    trivial estimate |domain| comes back with status budget-exceeded
-    together with the unit impulse, which is always a feasible witness.
+    trivial estimate |domain| comes back with status budget-exceeded and
+    f None. Its gap is to the trivial lower bound 1, which the unit
+    impulse attains, so no table of |G| values is built.
     """
     if domain.group != group:
         raise ValueError("domain belongs to a different group")
     if group.order > LP_GROUP_ORDER_CAP:
-        vals = np.zeros(group.order)
-        vals[0] = 1.0
-        f = GroupFunction(group, vals)
-        return LPSolution("budget-exceeded", float(domain.size), f, None,
+        return LPSolution("budget-exceeded", float(domain.size), None, None,
                           float(domain.size) - 1.0, None, None,
                           {"reason": f"group order {group.order} over cap "
                                      f"{LP_GROUP_ORDER_CAP}"})
     return solve_lp(build_lp_problem(group, domain), mode, tolerances)
 
 
-def witness_ratio(f: GroupFunction, domain: SymmetricDomain,
-                  tolerances: Tolerances = DEFAULT_TOLERANCES) -> BoundReport:
+def witness_ratio(f: GroupFunction, domain: SymmetricDomain) -> BoundReport:
     """Certified lower bound sum f / f(0) from an explicit witness."""
     G = f.group
     if domain.group != G:

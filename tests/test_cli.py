@@ -122,6 +122,42 @@ def test_turan_lattice_z_budget_overrun_is_a_status(tmp_path, capsys):
     assert code == 0 and json.loads(out)["budget_exhausted"] is False
 
 
+def test_turan_lattice_z_torus_far_over_cap_is_a_status(tmp_path, capsys):
+    # the default schedule for {0, +-2^70} is three tori of order about
+    # 2^71; their solves end budget-exceeded with no table of the torus
+    doc = {"setting": "lattice-z", "domain": [0, 2 ** 70, -2 ** 70]}
+    code, out, err = run(capsys, "turan", problem(tmp_path, doc))
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert rep["budget_exhausted"] is True
+    assert rep["best_upper"]["value"]["decimal"] == "3"
+
+
+@pytest.mark.parametrize("dimension, hints, message", [
+    (2, {}, "need hints.M"),
+    (1, {"M": []}, "non-empty list of positive integers"),
+    (1, {"M": [0]}, "non-empty list of positive integers"),
+    (1, {"M": "x"}, "non-empty list of positive integers"),
+    (1, {"M": [True]}, "non-empty list of positive integers"),
+    (1, {"M": [6.0]}, "non-empty list of positive integers"),
+    (2, {"M": [6, -6]}, "non-empty list of positive integers"),
+], ids=["missing-in-2d", "empty", "zero", "string", "bool", "float",
+        "negative"])
+def test_exit_code_bad_torus_moduli(tmp_path, capsys, dimension, hints,
+                                    message):
+    domain = [[0] * dimension]
+    for k in range(dimension):
+        for s in (1, -1):
+            point = [0] * dimension
+            point[k] = s
+            domain.append(point)
+    doc = {"setting": "lattice-z", "dimension": dimension,
+           "domain": domain, "hints": hints}
+    code, out, err = run(capsys, "turan", problem(tmp_path, doc))
+    assert code == 1 and out == ""
+    assert message in err
+
+
 PUNCTURED = {"setting": "real-line",
              "domain": [["-3/2", -1], [-1, 1], [1, "3/2"]],
              "hints": {"c": 1, "tents": [{"c": "9/10", "D": [0]},
@@ -296,6 +332,18 @@ def test_exit_code_bad_mode(tmp_path, capsys):
            "mode": "float64"}
     code, _, err = run(capsys, "turan", problem(tmp_path, doc))
     assert code == 1
+    assert "float or exact-rational" in err
+
+
+@pytest.mark.parametrize("what", ["packing", "spectrum"])
+def test_search_rejects_a_bad_mode_like_turan(tmp_path, capsys, what):
+    doc = {"setting": "finite-group", "moduli": [8], "domain": [0, 1, 7],
+           "mode": "float64", "hints": {"H": [[0, 1]]}}
+    path = problem(tmp_path, doc)
+    _, _, turan_err = run(capsys, "turan", path)
+    code, out, err = run(capsys, "search", path, "--what", what)
+    assert code == 1 and out == ""
+    assert err == turan_err
     assert "float or exact-rational" in err
 
 

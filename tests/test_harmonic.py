@@ -251,8 +251,13 @@ def test_is_positive_definite_hand_cases():
     assert abs(bad.min_real - (-0.8)) < 1e-9
 
 
-def test_is_positive_definite_tol_override():
+def test_is_positive_definite_default_band():
+    # 1 + 2a cos(pi t / 2) dips to 1 - 2a at t = 2; the band is
+    # 1e-9 * ||f||_1 = 1e-9 * (1 + 2a), about 2e-9
     G = make_group([4])
-    f = from_dict(G, {(0,): 1.0, (1,): 0.5001, (3,): 0.5001})
-    assert not is_positive_definite(f).flag
-    assert is_positive_definite(f, tol=1e-3).flag
+    inside = from_dict(G, {(0,): 1.0, (1,): 0.5 + 5e-10, (3,): 0.5 + 5e-10})
+    rep = is_positive_definite(inside)
+    assert rep.flag and rep.min_real < 0
+    assert rep.tol == 1e-9 * inside.l1()
+    outside = from_dict(G, {(0,): 1.0, (1,): 0.5 + 2e-9, (3,): 0.5 + 2e-9})
+    assert not is_positive_definite(outside).flag

@@ -2,8 +2,8 @@
 
 The solver minimizes sum cost_j lam_j subject to sum lam_j col_j = w,
 lam >= 0. Its optimum equals the dual maximum of w.y over the polytope
-col_j . y <= cost_j, and with signed unit columns of cost 1 present the
-dual region sits inside [-1, 1]^p, so the oracle can enumerate all
+col_j . y <= cost_j, and with the solver's box columns +-e_q of cost 1
+the dual region sits inside [-1, 1]^p, so the oracle can enumerate all
 p-subsets of constraints, solve each square system, and keep the best
 feasible vertex.
 """
@@ -22,14 +22,15 @@ from turanlab.simplex import ColumnLPResult, solve_column_lp
 
 
 def _unit_columns(p):
+    """The box columns the solver adds itself, with its ids and order."""
     cols = []
     for q in range(p):
         plus = [0.0] * p
         plus[q] = 1.0
         minus = [0.0] * p
         minus[q] = -1.0
-        cols.append((2 * q, plus, 1.0))
-        cols.append((2 * q + 1, minus, 1.0))
+        cols.append((q, plus, 1.0))
+        cols.append((p + q, minus, 1.0))
     return cols
 
 
@@ -144,7 +145,7 @@ def test_float_lps_match_vertex_oracle():
     for case in range(300):
         p = rng.randint(1, 3)
         w, cols = _random_instance(rng, p, rng.randint(0, 7), exact=False)
-        res = solve_column_lp(np.array(w), cols, lambda pi: [])
+        res = solve_column_lp(np.array(w), cols[2 * p:], lambda pi: [])
         assert res.status == "optimal", f"case {case}: {res.status}"
         want = _dual_vertex_oracle(w, cols)
         assert want is not None
@@ -161,7 +162,7 @@ def test_exact_lps_match_vertex_oracle():
     for case in range(120):
         p = rng.randint(1, 2)
         w, cols = _random_instance(rng, p, rng.randint(0, 5), exact=True)
-        res = solve_column_lp(*_floats(w, cols), lambda pi: [])
+        res = solve_column_lp(*_floats(w, cols[2 * p:]), lambda pi: [])
         assert res.status == "optimal", f"case {case}"
         assert len(res.basis) == p
         want = _dual_vertex_oracle(w, cols)
@@ -170,10 +171,13 @@ def test_exact_lps_match_vertex_oracle():
         assert abs(res.objective - float(want)) <= 1e-9
 
 
-def test_budget_exceeded_keeps_feasible_point():
+def test_budget_exceeded_keeps_feasible_point(monkeypatch):
+    import turanlab.simplex as simplex
+
+    monkeypatch.setattr(simplex, "LP_PIVOT_CAP", 0)
     rng = random.Random(90303)
     w, cols = _random_instance(rng, 2, 5, exact=False)
-    res = solve_column_lp(np.array(w), cols, lambda pi: [], pivot_cap=0)
+    res = solve_column_lp(np.array(w), cols[4:], lambda pi: [])
     assert res.status == "budget-exceeded"
     assert res.pivots == 0
     _check_primal(res, w, cols, 1e-7)
@@ -181,22 +185,17 @@ def test_budget_exceeded_keeps_feasible_point():
 
 def test_unbounded_direction_reported_infeasible():
     # a zero column with negative cost enters and never leaves
-    cols = _unit_columns(1) + [(100, [0.0], -1.0)]
-    res = solve_column_lp(np.array([1.0]), cols, lambda pi: [])
+    res = solve_column_lp(np.array([1.0]), [(100, [0.0], -1.0)],
+                          lambda pi: [])
     assert res.status == "infeasible"
 
 
-def test_missing_start_column_raises():
-    cols = [(0, [1.0], 1.0)]  # no -e column for a negative weight
-    with pytest.raises(ValueError):
-        solve_column_lp(np.array([-1.0]), cols, lambda pi: [])
-
-
-def test_start_basis_override():
-    cols = _unit_columns(2)
-    res = solve_column_lp(np.array([1.0, -2.0]), cols, lambda pi: [],
-                          start_basis=[0, 3])
+def test_start_basis_follows_the_signs_of_w():
+    # +e_0 (id 0) for w_0 >= 0 and -e_1 (id p + 1 = 3) for w_1 < 0
+    res = solve_column_lp(np.array([1.0, -2.0]), [], lambda pi: [])
     assert res.status == "optimal"
+    assert res.basis == [0, 3]
+    assert res.pivots == 0
     assert res.objective == pytest.approx(3.0)
 
 
@@ -211,7 +210,7 @@ def test_lazy_pricing_receives_multipliers():
         return []
 
     w = [1.0, 1.0]
-    res = solve_column_lp(np.array(w), _unit_columns(2), price)
+    res = solve_column_lp(np.array(w), [], price)
     assert res.status == "optimal"
     assert seen, "pricing callback never ran"
     assert res.objective == pytest.approx(0.5)
@@ -261,7 +260,7 @@ def test_working_set_grows_over_pricing_rounds(monkeypatch):
         return [(cid, vec, cost)]
 
     w = np.array([float(v) for v in w_exact])
-    res = solve_column_lp(w, unit, price)
+    res = solve_column_lp(w, [], price)
     assert res.status == "optimal"
     assert grown, "the working set never outgrew its first allocation"
     assert res.diagnostics["pricing_rounds"] > 16
@@ -272,25 +271,28 @@ def test_working_set_grows_over_pricing_rounds(monkeypatch):
     assert _certify_basis(w_exact, unit + exact_pool, res.basis) == want
 
 
-def test_bland_enters_lowest_id_among_negative_reduced_costs():
-    # w = 0 makes every pivot degenerate, so with stall_limit 1 the second
+def test_bland_enters_lowest_id_among_negative_reduced_costs(monkeypatch):
+    # w = 0 makes every pivot degenerate, so with STALL_LIMIT 1 the second
     # pivot stalls and Bland's rule picks the third entering column. The
     # columns (v, c) have ratios c/v of 1, 0.5, 0.25, 0.1 and -0.1, and
     # rc = v (c/v - pi). Dantzig enters id 60 (rc -2), then id 70 (rc -0.25
     # against -0.2 for id 40). At pi = 0.25 the candidates are id 40
     # (rc -0.075) and id 20 (rc -0.035): Dantzig takes id 40, Bland id 20,
     # which is neither first in arrival order nor the most negative.
-    cols = [(0, [1.0], 1.0), (1, [-1.0], 1.0), (60, [4.0], 2.0),
-            (70, [1.0], 0.25), (40, [0.5], 0.05), (20, [0.1], -0.01)]
-    bland = solve_column_lp(np.array([0.0]), cols, lambda pi: [],
-                            pivot_cap=3, stall_limit=1)
-    assert bland.basis == [20]
-    assert bland.pivots == 3 and bland.diagnostics["bland_pivots"] == 1
-    dantzig = solve_column_lp(np.array([0.0]), cols, lambda pi: [],
-                              pivot_cap=3)
+    # The box columns are id 0 (+e_0) and id 1 (-e_0).
+    import turanlab.simplex as simplex
+
+    cols = [(60, [4.0], 2.0), (70, [1.0], 0.25), (40, [0.5], 0.05),
+            (20, [0.1], -0.01)]
+    monkeypatch.setattr(simplex, "LP_PIVOT_CAP", 3)
+    dantzig = solve_column_lp(np.array([0.0]), cols, lambda pi: [])
     assert dantzig.status == "budget-exceeded"
     assert dantzig.basis == [40]
     assert dantzig.diagnostics["bland_pivots"] == 0
+    monkeypatch.setattr(simplex, "STALL_LIMIT", 1)
+    bland = solve_column_lp(np.array([0.0]), cols, lambda pi: [])
+    assert bland.basis == [20]
+    assert bland.pivots == 3 and bland.diagnostics["bland_pivots"] == 1
 
 
 class _DriftingNumpy:
@@ -315,13 +317,13 @@ def test_drifting_inverse_is_rebuilt_before_pricing(monkeypatch):
     for case in range(40):
         p = rng.randint(2, 3)
         w, cols = _random_instance(rng, p, rng.randint(3, 6), exact=False)
-        unit, pool = cols[:2 * p], cols[2 * p:]
+        pool = cols[2 * p:]
 
         def price(pi):
             return [(cid, vec, cost) for cid, vec, cost in pool
                     if cost - sum(v * y for v, y in zip(vec, pi)) < -1e-9]
 
-        res = solve_column_lp(np.array(w), unit, price)
+        res = solve_column_lp(np.array(w), [], price)
         assert res.status == "optimal", f"case {case}"
         want = _dual_vertex_oracle(w, cols)
         assert abs(res.objective - float(want)) <= 1e-9, \

@@ -287,7 +287,7 @@ def test_order_cap_falls_back_to_trivial_bracket():
     sol = turan_constant(G, dom)
     assert sol.status == "budget-exceeded"
     assert sol.value == 3.0
-    assert sol.f((0,)) == 1.0 and sol.f.total() == 1.0
+    assert sol.f is None
     assert "over cap" in sol.diagnostics["reason"]
 
 
