@@ -31,7 +31,7 @@ from . import __version__
 from .bounds import BoundReport, best_lower, best_upper, rank_reports
 from .config import (DEFAULT_BUDGET, DEFAULT_TOLERANCES, LP_GROUP_ORDER_CAP,
                      SearchBudget, Tolerances)
-from .errors import TuranError
+from .errors import MTooSmallError, TuranError
 from .groups import (SymmetricDomain, difference_set, make_group,
                      subgroup_generated, symmetric_domain)
 from .harmonic import GroupFunction, autocorrelation, indicator
@@ -298,7 +298,12 @@ def _run_lattice_z(doc, tol, budget):
             and all(type(M) is int and M > 0 for M in Ms)):
         raise SpecError("hint 'M' must be a non-empty list of positive "
                         "integers")
-    torus = upper_bound_z(domain, Ms, tolerances=tol)
+    try:
+        torus = upper_bound_z(domain, Ms, tolerances=tol)
+    except MTooSmallError as e:
+        # the default schedule starts past the domain's diameter, so only
+        # a hinted modulus can wrap two domain points together
+        raise SpecError(f"hints.M: {e}") from e
     reports = [torus]
     if "Lambda" in hints:
         raw = hints["Lambda"]

@@ -6,28 +6,35 @@ the translates of Lambda shows the extremal constant is at most
 |G|/|Lambda|, so large packing sets mean strong upper bounds.
 
 Finding the largest Lambda is a maximum independent set problem in the
-Cayley graph of G with connection set Omega minus 0. That graph is
-regular (every vertex sees |Omega|-1 others), so degree-based branching
-orders collapse to plain index order, which is what the search uses;
-branching lowest-index-first with the include branch explored first makes
-the first optimum found the lexicographically least one.
+Cayley graph of G with connection set Omega minus 0. ``branch_and_bound``
+is the one search for such sets: ``max_packing_set`` runs it on this
+graph and ``spectral.find_spectrum`` on the graph whose connection set is
+the support of the transform of 1_H. A Cayley graph is vertex-transitive,
+so translating any independent set by minus one of its vertices gives one
+of the same size through 0. Fixing 0 at the root therefore costs
+nothing: the subtree without 0, which the search skips, holds no set
+larger than the best one through 0. The graph is also regular, so
+degree-based branching orders collapse to plain index order, which is
+what the search uses; branching lowest-index-first with the include
+branch explored first makes the first optimum found the lexicographically
+least one.
 
-Every step reads one integer table, shift[k, v] = index(v + omega_k),
-built by one ``groups.translate`` call: the greedy scan clears a boolean
-array, the swap pass keeps coverage counts, and the branch and bound turns
-a column into a pair of bitmasks the first time it branches there.
+Every packing step reads one integer table, shift[k, v] = index(v +
+omega_k), built by one ``groups.translate`` call: the greedy scan clears a
+boolean array, the swap pass keeps coverage counts, and the branch and
+bound turns a column into v's keep mask, the vertices outside v's closed
+neighbourhood, the first time it branches there.
 
 A search node is (cand, size, chosen): the candidate bitmask, the number
 of vertices taken, and the taken vertices as a linked (parent, v) chain,
 so making a node costs the same at any depth; the best set is rebuilt
-from its chain only when it improves. The mask pair of v is the
-complement of its closed neighbourhood (the include branch keeps
-cand & outside) and its open neighbourhood (the exclude branch, cand with
-v's bit cleared, is needed only when cand meets it). ``find_spectrum``
-uses the same nodes and masks for its clique search.
+from its chain only when it improves. The include branch keeps cand &
+keep(v); the exclude branch, cand with v's bit cleared, is needed only
+when including v drops some other candidate.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,38 +108,58 @@ def packing_bound(group: FiniteAbelianGroup, domain: SymmetricDomain,
                        {"Lambda": sorted(elems, key=group.index)})
 
 
-class NeighbourMasks(dict):
-    """Bitmask pair (outside, open) of vertex v, built when v is first read.
+def vertex_mask(indices, n: int) -> int:
+    """Bitmask of the flat indices ``indices`` among n vertices."""
+    bits = np.zeros(n, dtype=bool)
+    bits[indices] = True
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
+                          "little")
 
-    ``column(v)`` holds the flat indices adjacent to v, v itself allowed.
-    ``open`` is their mask without v, ``outside`` the mask of the n
-    vertices outside v's closed neighbourhood.
+
+def branch_and_bound(keep, floor: int, target: int, node_limit: int,
+                     deadline: float | None
+                     ) -> tuple[list[int] | None, int, bool]:
+    """Largest independent set through vertex 0 with more than floor vertices.
+
+    ``keep(v)`` is the mask of the vertices that may join a set holding v,
+    v itself excluded; it is called at most once per vertex. The search
+    stops at the first set of ``target`` vertices. Returns (best, nodes,
+    cut): the best set found (None if none beat the floor), the nodes
+    visited, the one that hit the node budget included, and whether the
+    node budget or the deadline (read every 1024 nodes) cut the search.
     """
-
-    def __init__(self, column, n: int):
-        super().__init__()
-        self.column = column
-        self.n = n
-        self.full = (1 << n) - 1
-
-    def __missing__(self, v: int) -> tuple[int, int]:
-        bits = np.zeros(self.n, dtype=bool)
-        bits[self.column(v)] = True
-        bits[v] = False
-        neighbours = int.from_bytes(
-            np.packbits(bits, bitorder="little").tobytes(), "little")
-        outside = self.full ^ neighbours ^ (1 << v)
-        self[v] = outside, neighbours
-        return outside, neighbours
-
-
-def chain_vertices(chosen) -> list[int]:
-    """The vertices of a linked (parent, v) chain, in the order taken."""
-    out = []
-    while chosen is not None:
-        chosen, v = chosen
-        out.append(v)
-    return out[::-1]
+    keep = functools.cache(keep)
+    best = None
+    nodes = 0
+    # stack of (candidate mask, size, chosen) with chosen a linked
+    # (parent, v) chain; branch on the lowest candidate
+    stack: list[tuple[int, int, tuple | None]] = [(keep(0), 1, (None, 0))]
+    while stack:
+        nodes += 1
+        if nodes > node_limit or (deadline is not None and nodes % 1024 == 0
+                                  and time.monotonic() > deadline):
+            return best, nodes, True
+        cand, size, chosen = stack.pop()
+        if size + cand.bit_count() <= floor:
+            continue
+        if size == target or not cand:
+            best, floor = [], size
+            while chosen is not None:
+                chosen, v = chosen
+                best.append(v)
+            best.reverse()
+            if size == target:
+                break
+            continue
+        low = cand & -cand
+        v = low.bit_length() - 1
+        inside = cand & keep(v)
+        if inside != cand ^ low:
+            # exclude branch explored after include (LIFO: push it first);
+            # when no candidate clashes with v, include is the only one
+            stack.append((cand ^ low, size, chosen))
+        stack.append((inside, size + 1, (chosen, v)))
+    return best, nodes, False
 
 
 def greedy_scan(shift: np.ndarray) -> list[int]:
@@ -203,45 +230,18 @@ def max_packing_set(group: FiniteAbelianGroup, domain: SymmetricDomain,
     deadline = (time.monotonic() + budget.time_limit
                 if budget.time_limit is not None else None)
     greedy = greedy_scan(shift)
-    best = list(greedy)
 
     if n > EXACT_SEARCH_VERTEX_CAP:
         improved = _swap_improve(shift, greedy, deadline)
         elems = tuple(group.element(v) for v in improved)
         return PackingSet(group, elems, True, GREEDY_ONLY, nodes=0)
 
-    masks = NeighbourMasks(lambda v: shift[:, v], n)
-    nodes = 0
-    exhausted = False
-    # stack of (candidate mask, size, chosen) with chosen a linked
-    # (parent, v) chain; branch on the lowest candidate
-    stack: list[tuple[int, int, tuple | None]] = [((1 << n) - 1, 0, None)]
-    while stack:
-        nodes += 1
-        if nodes > budget.node_limit:
-            exhausted = True
-            break
-        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-            exhausted = True
-            break
-        cand, size, chosen = stack.pop()
-        if not cand:
-            if size > len(best):
-                best = chain_vertices(chosen)
-            continue
-        if size + cand.bit_count() <= len(best):
-            continue
-        low = cand & -cand
-        v = low.bit_length() - 1
-        outside, neighbours = masks[v]
-        if cand & neighbours:
-            # exclude branch explored after include (LIFO: push it first)
-            stack.append((cand ^ low, size, chosen))
-        # include branch; with no neighbour of v left, it is the only one
-        stack.append((cand & outside, size + 1, (chosen, v)))
-
-    elems = tuple(group.element(v) for v in best)
-    flag = GREEDY_ONLY if exhausted else PROVEN_MAX
+    full = (1 << n) - 1
+    found, nodes, cut = branch_and_bound(
+        lambda v: full ^ vertex_mask(shift[:, v], n), len(greedy), n,
+        budget.node_limit, deadline)
+    elems = tuple(group.element(v) for v in found or greedy)
+    flag = GREEDY_ONLY if cut else PROVEN_MAX
     return PackingSet(group, elems, True, flag, nodes=nodes)
 
 

@@ -10,6 +10,11 @@ the indicator of H, with |T| = |H|) and the summed identity
 The two must agree; a disagreement beyond tolerance is reported as a
 numerical inconsistency and never papered over.
 
+By the Gram condition a spectrum through 0 is an independent set of |H|
+vertices in the Cayley graph on the dual whose connection set is the
+support of the transform of 1_H, so ``find_spectrum`` runs the packing
+search, ``packing.branch_and_bound``, on that graph.
+
 A spectrum certifies the upper bound |H| for any domain inside H - H,
 which on some instances beats every packing bound; compare_bounds runs
 the whole battery and marks the winner.
@@ -29,8 +34,8 @@ from .errors import CertificateInvalidError, NumericalInconsistencyError
 from .groups import (Element, FiniteAbelianGroup, SymmetricDomain,
                      difference_set, flat, subgroup_generated, translate)
 from .harmonic import _axis_transform, indicator
-from .packing import (NeighbourMasks, chain_vertices, max_packing_set,
-                      packing_bound, tiling_bound)
+from .packing import (branch_and_bound, max_packing_set, packing_bound,
+                      tiling_bound, vertex_mask)
 from .turan_lp import quotient_bound, subgroup_bound, turan_constant
 
 ZERO_TOL = 1e-9
@@ -146,14 +151,16 @@ def is_spectrum(group: FiniteAbelianGroup, H, T) -> SpectrumReport:
 
 def find_spectrum(group: FiniteAbelianGroup, H,
                   budget: SearchBudget = DEFAULT_BUDGET) -> SpectrumSearch:
-    """Search for a spectrum of H as a clique in the zero-difference graph.
+    """Search for a spectrum of H as an independent set of size |H|.
 
-    Spectra are translation invariant, so 0 goes into T for free. The
-    graph is a Cayley graph on the dual (hence regular: degree ordering
-    degenerates to index order) and the clique must reach size |H|.
-    Returns the lexicographically least spectrum if one exists within
-    budget; exhausted=True means the absence is certified. The clock is
-    read every 1024 nodes, as in the packing search.
+    The graph is the Cayley graph on the dual whose connection set is the
+    support of the transform of 1_H: s and t may both lie in T exactly
+    when s - t is a zero of the transform. Spectra are translation
+    invariant, so 0 goes into T for free, and the graph is regular, so
+    degree ordering degenerates to index order. Returns the
+    lexicographically least spectrum if one exists within budget;
+    exhausted=True means the absence is certified. The clock is read
+    every 1024 nodes, as in the packing search.
     """
     Hc = _canon_set(group, H)
     h = len(Hc)
@@ -163,47 +170,22 @@ def find_spectrum(group: FiniteAbelianGroup, H,
         cand = SpectrumCandidate(group, tuple(Hc), (group.identity(),), True)
         return SpectrumSearch(cand, True, 0)
 
-    # adjacency masks of the zero graph, built lazily: the search typically
-    # touches a tiny corner of a potentially large dual group
-    masks = NeighbourMasks(lambda v: translate(group.moduli, zeros, v),
-                           group.order)
     deadline = (time.monotonic() + budget.time_limit
                 if budget.time_limit is not None else None)
-
-    nodes = 0
-    exhausted = True
-    found: list[int] | None = None
-    # nodes as in the packing search: (candidate mask, size, chosen chain),
-    # starting from T = {0} with the neighbours of 0 as candidates
-    stack: list[tuple[int, int, tuple | None]] = [(masks[0][1], 1, (None, 0))]
-    while stack:
-        nodes += 1
-        if nodes > budget.node_limit:
-            exhausted = False
-            break
-        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-            exhausted = False
-            break
-        cand, size, chosen = stack.pop()
-        if size == h:
-            found = chain_vertices(chosen)
-            break
-        if size + cand.bit_count() < h:
-            continue
-        low = cand & -cand
-        v = low.bit_length() - 1
-        stack.append((cand ^ low, size, chosen))
-        stack.append((cand & masks[v][1], size + 1, (chosen, v)))
-
+    # keep(v) = the characters v + zeros, built lazily: the search
+    # typically touches a tiny corner of a potentially large dual group
+    found, nodes, cut = branch_and_bound(
+        lambda v: vertex_mask(translate(group.moduli, zeros, v), group.order),
+        h - 1, h, budget.node_limit, deadline)
     if found is None:
-        return SpectrumSearch(None, exhausted, nodes)
+        return SpectrumSearch(None, not cut, nodes)
     T = tuple(group.element(v) for v in found)
     report = is_spectrum(group, Hc, T)
     if not report.flag:
         raise NumericalInconsistencyError(
             f"search produced a non-spectrum: {report.diagnostics}")
     return SpectrumSearch(SpectrumCandidate(group, tuple(Hc), T, True),
-                          exhausted, nodes)
+                          True, nodes)
 
 
 def spectral_bound(group: FiniteAbelianGroup, domain: SymmetricDomain,

@@ -158,6 +158,21 @@ def test_exit_code_bad_torus_moduli(tmp_path, capsys, dimension, hints,
     assert message in err
 
 
+@pytest.mark.parametrize("moduli, message", [
+    ([2, 6], "hints.M: modulus 2 identifies (-1,) and (1,)"),
+    ([1], "hints.M: modulus 1 identifies (-1,) and (0,)"),
+], ids=["two-then-six", "one"])
+def test_exit_code_torus_modulus_too_small(tmp_path, capsys, moduli,
+                                           message):
+    # a hinted modulus that wraps two domain points together is an input
+    # mistake, even when another modulus in the list is valid
+    doc = {"setting": "lattice-z", "domain": [0, 1, -1],
+           "hints": {"M": moduli}}
+    code, out, err = run(capsys, "turan", problem(tmp_path, doc))
+    assert code == 1 and out == ""
+    assert message in err
+
+
 PUNCTURED = {"setting": "real-line",
              "domain": [["-3/2", -1], [-1, 1], [1, "3/2"]],
              "hints": {"c": 1, "tents": [{"c": "9/10", "D": [0]},

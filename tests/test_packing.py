@@ -3,9 +3,10 @@
 The search oracle enumerates every subset of the group by bitmask for
 |G| <= 12, so the branch and bound answer is compared against a truly
 independent maximum. The greedy-only path is pinned to a bitmask greedy
-and swap pass kept here as the reference, the branch and bound to the
-tuple-node search it replaced (node counts included), and the packing
-check to a pairwise scan.
+and swap pass kept here as the reference, the branch and bound to a
+tuple-node search from the root {0} (node counts included) and to the
+full tree it searched before it fixed 0, and the packing check to a
+pairwise scan.
 """
 from __future__ import annotations
 
@@ -107,12 +108,15 @@ def _reference_swaps(masks, chosen) -> list[int]:
     return sorted(sel)
 
 
-def _reference_search(masks, node_limit):
+def _reference_search(masks, node_limit, from_zero=True):
     """Branch and bound on (candidate mask, chosen tuple) nodes, greedy
-    seeded: returns (best vertices, exhausted, nodes)."""
+    seeded, from the root {0}; with from_zero=False from the empty set, the
+    full tree the search explored before it fixed 0. Returns (best
+    vertices, exhausted, nodes)."""
+    full = (1 << len(masks)) - 1
     best = _reference_greedy(masks)
     nodes = 0
-    stack = [((1 << len(masks)) - 1, ())]
+    stack = [(full & ~masks[0], (0,))] if from_zero else [(full, ())]
     while stack:
         nodes += 1
         if nodes > node_limit:
@@ -210,10 +214,12 @@ def test_max_packing_matches_bitmask_oracle():
 
 
 def test_search_matches_reference_branch_and_bound():
-    # same sets, flags and node counts as the tuple-node search, with and
-    # without node-budget cuts
+    # same sets, flags and node counts as the tuple-node search from the
+    # root {0}, with and without node-budget cuts; against the full tree
+    # (root: the empty set) the same sets, never greedy-only where the
+    # full tree proved the maximum, and never more nodes
     rng = random.Random(90505)
-    cut = 0
+    cut = improved = 0
     for case in range(200):
         r = rng.random()
         moduli = [rng.randint(1, 40)] if r < 0.4 else \
@@ -225,14 +231,21 @@ def test_search_matches_reference_branch_and_bound():
             elems.update((x, G.neg(x)))
         dom = symmetric_domain(G, elems)
         limit = rng.choice([20_000, 20_000, 3, 40, 400, 4000])
-        best, exhausted, nodes = _reference_search(_closed_masks(G, dom),
-                                                   limit)
+        masks = _closed_masks(G, dom)
+        best, exhausted, nodes = _reference_search(masks, limit)
         cut += exhausted
         found = max_packing_set(G, dom, SearchBudget(node_limit=limit))
         assert ([G.index(x) for x in found.elements],
                 found.maximality == GREEDY_ONLY, found.nodes) == \
             (best, exhausted, nodes), f"case {case}: {moduli} {limit}"
+        full_best, full_exhausted, full_nodes = _reference_search(
+            masks, limit, from_zero=False)
+        assert best == full_best, f"case {case}: {moduli} {limit}"
+        assert exhausted <= full_exhausted and nodes <= full_nodes, \
+            f"case {case}: {moduli} {limit}"
+        improved += full_exhausted and not exhausted
     assert cut >= 20
+    assert improved >= 10
 
 
 def test_budget_exhaustion_keeps_valid_packing():

@@ -111,6 +111,85 @@ def test_find_spectrum_matches_brute_force():
             assert search.exhausted
 
 
+def _reference_spectrum_search(G, H, node_limit):
+    """The clique search find_spectrum ran before it shared the packing
+    search: from T = {0}, lowest candidate first, include before exclude,
+    the exclude branch always pushed. Returns (T indices, exhausted,
+    nodes)."""
+    h = len(set(H))
+    if h == 1:
+        return [0], True, 0
+    zeros = transform_zero_set(G, H)[0]
+    masks = {}
+
+    def neighbours(v):
+        if v not in masks:
+            x = G.element(v)
+            masks[v] = sum(1 << G.index(G.add(x, z)) for z in zeros)
+        return masks[v]
+
+    nodes = 0
+    stack = [(neighbours(0), (0,))]
+    while stack:
+        nodes += 1
+        if nodes > node_limit:
+            return None, False, nodes
+        cand, chosen = stack.pop()
+        if len(chosen) == h:
+            return list(chosen), True, nodes
+        if len(chosen) + cand.bit_count() < h:
+            continue
+        low = cand & -cand
+        v = low.bit_length() - 1
+        stack.append((cand ^ low, chosen))
+        stack.append((cand & neighbours(v), chosen + (v,)))
+    return None, True, nodes
+
+
+def _random_base_set(rng, G):
+    k = rng.randint(2, 8)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.sample(G.elements(), min(k, G.order))
+    if kind == 1:
+        # a shifted arithmetic progression
+        step, start = rng.choice(G.elements()), rng.choice(G.elements())
+        return list(dict.fromkeys(G.canon([a + j * b for a, b in
+                                           zip(start, step)])
+                                  for j in range(k)))
+    if kind == 2:
+        # a subset of the 0/1 cube
+        return list({G.canon([rng.randint(0, 1) for _ in G.moduli])
+                     for _ in range(k)})
+    # two translates of a cyclic subgroup
+    K = tl.subgroup_generated(G, [rng.choice(G.elements())]).elements
+    shifts = rng.sample(G.elements(), 2)
+    return list({G.add(s, x) for s in shifts for x in K})
+
+
+def test_find_spectrum_matches_reference_clique_search():
+    # same (T, exhausted, nodes) as the clique search, with and without
+    # node-budget cuts
+    rng = random.Random(90603)
+    cut = 0
+    for case in range(220):
+        while True:
+            moduli = [rng.randint(2, 64) for _ in range(rng.randint(1, 3))]
+            G = make_group(moduli)
+            if G.order <= 512:
+                break
+        H = _random_base_set(rng, G)
+        limit = rng.choice([5, 50, 500, 100_000])
+        T, exhausted, nodes = _reference_spectrum_search(G, H, limit)
+        cut += not exhausted
+        search = find_spectrum(G, H, SearchBudget(node_limit=limit))
+        got = None if search.candidate is None else \
+            [G.index(x) for x in search.candidate.T]
+        assert (got, search.exhausted, search.nodes) == \
+            (T, exhausted, nodes), f"case {case}: {moduli} H={H} {limit}"
+    assert cut >= 20
+
+
 def test_spectral_bound_hand_case():
     G = make_group([4])
     dom = symmetric_domain(G, [0, 1, 3])
