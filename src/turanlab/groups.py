@@ -9,7 +9,9 @@ This module is the one home of that index arithmetic: ``index`` and
 ``element`` convert single elements, and ``digits``, ``flat``,
 ``negation_pairs`` and ``translate`` do the same on numpy arrays of flat
 indices for the LP, the packing and spectrum searches and the
-certificate checkers.
+certificate checkers. ``fixing_transpositions`` and ``orbit_labels``
+find the coordinate swaps that fix a set and label the orbits they
+generate together with -1, for the LP's symmetry reduction.
 
 Quotients and subgroup renormalization go through an exact integer Smith
 normal form so the result is again a product of cyclic groups together
@@ -141,6 +143,68 @@ def negation_pairs(moduli: tuple[int, ...], idx) -> tuple[np.ndarray, np.ndarray
     present = idx.take(np.searchsorted(idx, neg), mode="clip") == neg
     keep = (idx > 0) & ((idx <= neg) | ~present)
     return idx[keep], np.where(idx[keep] == neg[keep], 1, 2)
+
+
+def fixing_transpositions(moduli: tuple[int, ...], idx) -> np.ndarray:
+    """The coordinate swaps (i, j), i < j, between equal moduli above 1
+    that map the ascending, distinct flat indices ``idx`` onto themselves,
+    as an (n, 2) array in (i, j) order.
+
+    Swapping coordinates i and j moves the flat index of x by
+    (x_j - x_i)(w_i - w_j), w the strides, so every swap is tested at
+    once. A swap is a bijection of the group, so a set it maps into
+    itself it maps onto itself.
+    """
+    k = len(moduli)
+    swaps = [(i, j) for i in range(k) for j in range(i + 1, k)
+             if moduli[i] == moduli[j] > 1]
+    if not swaps:
+        return np.empty((0, 2), dtype=np.int64)
+    i, j = np.array(swaps).T
+    idx = np.asarray(idx, dtype=np.int64)
+    mods = np.asarray(moduli, dtype=np.int64)
+    strides = np.cumprod(np.concatenate(([1], mods[:0:-1])))[::-1]
+    x = digits(moduli, idx)
+    moved = idx[:, None] + (x[:, j] - x[:, i]) * (strides[i] - strides[j])
+    member = np.zeros(math.prod(moduli), dtype=bool)
+    member[idx] = True
+    kept = member[moved].all(axis=0)
+    return np.column_stack((i[kept], j[kept]))
+
+
+def orbit_labels(moduli: tuple[int, ...], transpositions, reps) -> np.ndarray:
+    """The least flat index in the orbit of each negation-pair
+    representative ``reps`` under -1 and the coordinate ``transpositions``.
+
+    The transpositions join coordinates into blocks, and those that span
+    a block generate every permutation of it. Sorting each block's
+    coordinates ascending gives the least flat index among the
+    permutations of x, so the label is the smaller of that for x and for
+    -x. With no transposition every orbit is a pair {x, -x}, whose least
+    member is its representative.
+    """
+    reps = np.asarray(reps, dtype=np.int64)
+    root = list(range(len(moduli)))
+
+    def find(a):
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    for a, b in np.asarray(transpositions).tolist():
+        root[find(b)] = find(a)
+    blocks: dict[int, list[int]] = {}
+    for c in range(len(moduli)):
+        blocks.setdefault(find(c), []).append(c)
+    blocks = [b for b in blocks.values() if len(b) > 1]
+    if not blocks:
+        return reps
+    x = digits(moduli, reps)
+    nx = -x % np.asarray(moduli, dtype=np.int64)
+    for b in blocks:
+        x[:, b] = np.sort(x[:, b], axis=1)
+        nx[:, b] = np.sort(nx[:, b], axis=1)
+    return np.minimum(flat(moduli, x), flat(moduli, nx))
 
 
 def translate(moduli: tuple[int, ...], v, s) -> np.ndarray:

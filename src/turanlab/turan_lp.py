@@ -4,18 +4,24 @@ For a group G and a symmetric domain Omega (contains 0, closed under
 negation), the constant computed here is the largest possible value of
 sum_x f(x) / f(0) over positive definite f supported inside Omega.
 
-Restricting to real even f loses nothing, so the unknowns are one value
-per negation pair {x, -x} of Omega minus 0, with f(0) = 1 substituted
-out. Positive definiteness is equivalent to nonnegativity of the
-transform, one linear constraint per negation pair of characters, and
-the whole problem is a linear program.
+Averaging a feasible f over the automorphisms that fix Omega keeps it
+feasible and keeps its value. The automorphisms used are -1 and the
+coordinate swaps between equal moduli that map Omega onto itself, so
+the unknowns are one value per orbit of Omega minus 0 under the group
+they generate, with f(0) = 1 substituted out. Positive definiteness is
+equivalent to nonnegativity of the transform, and the transform of a
+symmetric f is constant on the orbits of characters: one linear
+constraint per character orbit, and the whole problem is a linear
+program. With no swap fixing Omega the orbits are the negation pairs.
 
 The LP is attacked through its dual, a minimum-cost column program:
 box columns encode |f(x)| <= f(0) (valid for every positive definite f)
 and character columns are generated lazily, priced by one transform of
 the current iterate per round. Every feasible point of the column
 program is an upper bound for the constant, so even a budget-truncated
-run returns something rigorous.
+run returns something rigorous. Certificates stay in the full space of
+negation pairs: each orbit's weight is spread over its pairs, and the
+spread certificate is checked as it would be without the reduction.
 """
 from __future__ import annotations
 
@@ -31,9 +37,9 @@ from .config import DEFAULT_TOLERANCES, LP_GROUP_ORDER_CAP, Tolerances
 from .errors import (CertificateInvalidError, InvalidHomomorphismError,
                      WitnessRejectedError)
 from .groups import (Element, FiniteAbelianGroup, Subgroup, SymmetricDomain,
-                     digits, direct_product, flat, image_domain,
-                     negation_pairs, quotient_group, subgroup_as_group,
-                     symmetric_domain)
+                     digits, direct_product, fixing_transpositions, flat,
+                     image_domain, negation_pairs, orbit_labels,
+                     quotient_group, subgroup_as_group, symmetric_domain)
 from .harmonic import (GroupFunction, _axis_transform, _root_table,
                        is_positive_definite)
 from .rational import solve_fractions
@@ -42,25 +48,42 @@ from .simplex import SingularBasisError, solve_column_lp
 
 @dataclass
 class LPProblem:
-    """Data of the pair-reduced program for one (group, domain) instance.
+    """Data of the orbit-reduced program for one (group, domain) instance.
 
-    Variables: one per negation pair of ``domain`` minus 0, weight = pair
-    size. Rows: one per negation pair of characters (the trivial character
-    first), entries sum Re gamma(x) over the variable's pair. Row r states
-    1 + sum_q a[r,q] y_q >= 0, which is f(0) = 1 substituted out.
+    The symmetry group is generated by -1 and the coordinate swaps that
+    map the domain onto itself (``groups.fixing_transpositions``); every
+    orbit is a union of negation pairs, labelled by its least flat index
+    (``groups.orbit_labels``).
+
+    Variables: one per orbit O of ``domain`` minus 0, weight |O|. The
+    negation pairs of the domain (``pairs``, representative and pair
+    size) are grouped by orbit, in ascending label order and ascending
+    within an orbit; orbit o holds the pairs from ``orbit_start[o]`` to
+    the next start. Rows: one per orbit of characters, the trivial one
+    first, then by ascending label. Row r states
+    1 + sum_o a[r, o] y_o >= 0, which is f(0) = 1 substituted out; its
+    entry for orbit o sums Re gamma(x) over the elements of o for the
+    row's least character gamma.
 
     Rows are evaluated from integer phases, never from a transform: with
     N = lcm(moduli) and the pair representatives' coordinates scaled to N
-    (``phase_x``), entry (r, q) is
+    (``phase_x``), the entry of pair q is
     ``sizes[q] * cos_table[(phase_x[q] . dual_coords[r]) % N]``, where
-    ``cos_table`` holds Re exp(2 pi i k / N) exact at quarter turns. For
-    moduli in {1, 2, 4} every entry is therefore an exact float; exact
-    mode (moduli in {1, 2}) reads the same float rows, whose entries are
-    the integers +-sizes[q]. The flat indices ``pair_index``,
-    ``pair_neg_index`` and ``dual_index`` place the pairs and dual pairs
-    in the group's enumeration for the whole-group transforms of pricing,
-    the certificate and the witness; the exact finish runs the same
-    transforms on Fractions.
+    ``cos_table`` holds Re exp(2 pi i k / N) exact at quarter turns, and
+    each orbit adds its pairs' entries in pair order. For moduli in
+    {1, 2, 4} every entry is therefore an exact float; exact mode
+    (moduli in {1, 2}) reads the same float rows, whose entries are
+    integers.
+
+    Certificates stay in pair space. ``dual_index``, ``dual_sizes`` and
+    ``dual_coords`` describe the negation pairs of characters (the
+    trivial one first, then ascending), and a certificate holds one
+    weight per character pair; row r covers the character pairs
+    ``row_order[row_start[r]:]`` up to the next row's start. The flat
+    indices ``pair_index``, ``pair_neg_index`` and ``row_index`` place
+    the pairs and the rows' least characters in the group's enumeration
+    for the whole-group transforms of pricing, the certificate and the
+    witness; the exact finish runs the same transforms on Fractions.
     """
 
     group: FiniteAbelianGroup
@@ -70,22 +93,63 @@ class LPProblem:
     phase_x: np.ndarray = field(kw_only=True, repr=False)
     pair_index: np.ndarray = field(kw_only=True, repr=False)
     pair_neg_index: np.ndarray = field(kw_only=True, repr=False)
+    orbit_start: np.ndarray = field(kw_only=True, repr=False)
     dual_coords: np.ndarray = field(kw_only=True, repr=False)
     dual_sizes: np.ndarray = field(kw_only=True, repr=False)
     dual_index: np.ndarray = field(kw_only=True, repr=False)
+    row_order: np.ndarray = field(kw_only=True, repr=False)
+    row_start: np.ndarray = field(kw_only=True, repr=False)
     cos_table: np.ndarray = field(kw_only=True, repr=False)
 
     @property
     def n_vars(self) -> int:
-        return len(self.pairs)
+        return len(self.orbit_start)
 
     @property
     def n_rows(self) -> int:
-        return len(self.dual_index)
+        return len(self.row_start)
+
+    @cached_property
+    def orbit_sizes(self) -> np.ndarray:
+        """|O| per variable orbit: its elements, the sum of its pair sizes."""
+        return np.add.reduceat(self.sizes, self.orbit_start)
+
+    @cached_property
+    def pair_orbit(self) -> np.ndarray:
+        """The variable orbit of each pair."""
+        return np.repeat(np.arange(self.n_vars),
+                         np.diff(self.orbit_start, append=len(self.pairs)))
+
+    @cached_property
+    def row_rep(self) -> np.ndarray:
+        """The character pair of each row's least character."""
+        return self.row_order[self.row_start]
+
+    @cached_property
+    def row_index(self) -> np.ndarray:
+        """Flat index of each row's least character."""
+        return self.dual_index[self.row_rep]
+
+    @cached_property
+    def row_sizes(self) -> np.ndarray:
+        """|R| per row: its characters, the sum of its pair sizes."""
+        return np.add.reduceat(self.dual_sizes[self.row_order], self.row_start)
+
+    def orbit_pairs(self, o: int) -> range:
+        """The pairs of variable orbit o."""
+        last = o + 1 == self.n_vars
+        stop = len(self.pairs) if last else self.orbit_start[o + 1]
+        return range(self.orbit_start[o], stop)
+
+    def row_pairs(self, r: int) -> np.ndarray:
+        """The character pairs that row r covers."""
+        stop = self.row_start[r + 1] if r + 1 < self.n_rows else None
+        return self.row_order[self.row_start[r]:stop]
 
     @cached_property
     def dual_pairs(self) -> list[tuple[Element, int]]:
-        """(representative, pair size) per row, the trivial character first."""
+        """(representative, pair size) per character pair, the trivial
+        character first."""
         return [(self.group.element(i), s) for i, s in
                 zip(self.dual_index.tolist(), self.dual_sizes.tolist())]
 
@@ -93,12 +157,25 @@ class LPProblem:
         return self.cos_table[phases % len(self.cos_table)]
 
     def row(self, r: int) -> np.ndarray:
-        """Constraint row a_r with entries sum over pair q of Re gamma_r."""
-        return self.sizes * self._cos(self.phase_x @ self.dual_coords[r])
+        """Constraint row a_r: per variable orbit, the sum over its pairs of
+        pair size times Re gamma_r; an orbit of one pair keeps its entry."""
+        per_pair = self.sizes * self._cos(
+            self.phase_x @ self.dual_coords[self.row_rep[r]])
+        return np.add.reduceat(per_pair, self.orbit_start)
 
     def dual_reals(self, q: int) -> np.ndarray:
-        """Re gamma_t(x_q) for every dual pair t, pair sizes not applied."""
+        """Re gamma_t(x_q) for every character pair t, sizes not applied."""
         return self._cos(self.dual_coords @ self.phase_x[q])
+
+
+def _orbits(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group positions by label: the positions in ascending label order
+    (stable) and the start of each label's segment."""
+    order = np.argsort(labels, kind="stable")
+    ordered = labels[order]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return order, np.flatnonzero(first)
 
 
 def build_lp_problem(group: FiniteAbelianGroup,
@@ -107,24 +184,33 @@ def build_lp_problem(group: FiniteAbelianGroup,
         raise ValueError("domain belongs to a different group")
     mods = group.moduli
     N = math.lcm(*mods)
-    pairs = domain.pair_representatives()
-    pair_coords = np.array([x for x, _s in pairs],
-                           dtype=np.int64).reshape(len(pairs), len(mods))
-    # dual pairs by the rule of pair_representatives, the trivial one first
-    reps, sizes = negation_pairs(mods, np.arange(group.order))
-    dual_index = np.concatenate(([0], reps))
+    omega = np.array(sorted(group.index(x) for x in domain.elements),
+                     dtype=np.int64)
+    swaps = fixing_transpositions(mods, omega)
+    reps, sizes = negation_pairs(mods, omega)
+    order, orbit_start = _orbits(orbit_labels(mods, swaps, reps))
+    reps, sizes = reps[order], sizes[order]
+    pair_coords = digits(mods, reps)
+    # character pairs by the rule of negation_pairs, the trivial one first
+    dual_reps, dual_sizes = negation_pairs(mods, np.arange(group.order))
+    dual_index = np.concatenate(([0], dual_reps))
+    row_order, row_start = _orbits(orbit_labels(mods, swaps, dual_index))
     scale = np.array([N // m for m in mods], dtype=np.int64)
     return LPProblem(
-        group, domain, pairs,
-        sizes=np.array([s for _x, s in pairs], dtype=np.int64),
+        group, domain,
+        [(group.element(i), s) for i, s in zip(reps.tolist(), sizes.tolist())],
+        sizes=sizes,
         phase_x=pair_coords * scale,
-        pair_index=flat(mods, pair_coords),
+        pair_index=reps,
         pair_neg_index=flat(mods, -pair_coords),
+        orbit_start=orbit_start,
         # solutions keep their problem; the narrowest dtype keeps this small
         dual_coords=digits(mods, dual_index).astype(
             np.min_scalar_type(max(mods, default=1))),
-        dual_sizes=np.concatenate(([1], sizes)),
+        dual_sizes=np.concatenate(([1], dual_sizes)),
         dual_index=dual_index,
+        row_order=row_order,
+        row_start=row_start,
         cos_table=np.ascontiguousarray(_root_table(N).real))
 
 
@@ -138,6 +224,8 @@ class LPSolution:
     ``LP_GROUP_ORDER_CAP`` is not solved, and f is None.
     status ``infeasible``: the simplex found no feasible point; value/f/dual
     are absent.
+    ``dual``: the certificate, one weight per character pair of
+    ``problem.dual_index``.
     ``exact_value``: in exact mode, the optimum proven in Fractions from
     the final basis; None when that proof failed, with the reason under
     ``diagnostics["exact_check"]``.
@@ -154,13 +242,15 @@ class LPSolution:
 
 
 def _fold_box_weight(problem: LPProblem, lam, q: int, mu, sign: int) -> None:
-    """Eliminate a box column's weight into character-row weights.
+    """Eliminate the weight of pair q's box constraint into character-pair
+    weights.
 
     The box constraint f(0) -+ f(x_q) >= 0 is the average of character
-    rows with coefficients (1 -+ Re gamma(x_q)) / |G|, all nonnegative,
-    so its dual weight mu spreads over the rows without changing either
-    feasibility or the objective. The arithmetic is that of ``lam``: for
-    Fraction weights the +-1 character values are read as ints.
+    constraints with coefficients (1 -+ Re gamma(x_q)) / |G|, all
+    nonnegative, so its dual weight mu spreads over the character pairs
+    without changing either feasibility or the objective. The arithmetic
+    is that of ``lam``: for Fraction weights the +-1 character values are
+    read as ints.
     """
     re = problem.dual_reals(q)
     if lam.dtype == object:
@@ -169,38 +259,52 @@ def _fold_box_weight(problem: LPProblem, lam, q: int, mu, sign: int) -> None:
 
 
 def _certificate_from_weights(problem: LPProblem, weights: dict, exact: bool):
-    """Nonnegative weight per constraint row, from the basic column weights
-    (Fractions when ``exact``, floats otherwise)."""
+    """Nonnegative weight per character pair, from the basic column weights
+    (Fractions when ``exact``, floats otherwise).
+
+    Character column r spreads its weight mu over the pairs of row r in
+    proportion to their sizes, mu * dual_sizes[t] / |R|; box column o
+    folds mu * sizes[q] / |O| for each pair q of orbit o. Either way the
+    pairs' constraints add up to the orbit's, and the weights still sum
+    to mu.
+    """
     p = problem.n_vars
     if exact:
-        lam = np.array([Fraction(0)] * problem.n_rows, dtype=object)
+        lam = np.array([Fraction(0)] * len(problem.dual_index), dtype=object)
     else:
-        lam = np.zeros(problem.n_rows)
+        lam = np.zeros(len(problem.dual_index))
     for cid, mu in weights.items():
         if mu == 0:
             continue
         if cid >= 2 * p:
-            lam[cid - 2 * p] += mu
-        elif cid < p:
-            _fold_box_weight(problem, lam, cid, mu, +1)
-        else:
-            _fold_box_weight(problem, lam, cid - p, mu, -1)
+            r = cid - 2 * p
+            size = int(problem.row_sizes[r])
+            for t in problem.row_pairs(r).tolist():
+                lam[t] += mu * int(problem.dual_sizes[t]) / size
+            continue
+        o = cid % p
+        size = int(problem.orbit_sizes[o])
+        for q in problem.orbit_pairs(o):
+            _fold_box_weight(problem, lam, q,
+                             mu * int(problem.sizes[q]) / size,
+                             1 if cid < p else -1)
     return lam
 
 
 def verify_dual_certificate(problem: LPProblem, row_weights,
                             tolerances: Tolerances = DEFAULT_TOLERANCES):
-    """Check a per-row weight vector and return the upper bound it proves.
+    """Check a weight per character pair and return the upper bound it proves.
 
-    Requirements: weights nonnegative, and the weighted rows add up to
-    minus the objective vector. ``Fraction`` weights are checked exactly
-    and prove a ``Fraction`` bound; any other weights are checked in
-    float, within feasibility tolerance scaled by |G|. The certified bound
-    is then 1 + sum_r weight_r, by weak duality.
+    Requirements: weights nonnegative, and the weighted pair rows add up
+    to minus the objective vector, pair by pair of the domain.
+    ``Fraction`` weights are checked exactly and prove a ``Fraction``
+    bound; any other weights are checked in float, within feasibility
+    tolerance scaled by |G|. The certified bound is then
+    1 + sum_r weight_r, by weak duality.
     """
     G = problem.group
-    if len(row_weights) != problem.n_rows:
-        raise CertificateInvalidError("one weight per constraint row required")
+    if len(row_weights) != len(problem.dual_index):
+        raise CertificateInvalidError("one weight per character pair required")
     exact = all(isinstance(v, Fraction) for v in row_weights)
     tol = 0 if exact else tolerances.feasibility
     lam = np.asarray(row_weights, dtype=object if exact else float)
@@ -222,9 +326,9 @@ def verify_dual_certificate(problem: LPProblem, row_weights,
 
 
 def _embed(problem: LPProblem, y) -> np.ndarray:
-    """Full value table of the even function with f(0)=1, f(+-x_q)=y_q,
-    in the number type of y."""
-    y = np.asarray(y)
+    """Full value table of the symmetric function with f(0)=1 and f = y_o
+    on orbit o, in the number type of y."""
+    y = np.asarray(y)[problem.pair_orbit]
     vals = np.zeros(problem.group.order, dtype=y.dtype)
     vals[0] = 1
     vals[problem.pair_index] = y
@@ -253,13 +357,14 @@ def _mixed_witness(problem: LPProblem, y) -> tuple[GroupFunction, float]:
 def _exact_basis(problem: LPProblem, basis: list[int]):
     """Recompute the simplex's final basis in Fractions and prove it optimal.
 
-    Box column q is +e_q (id q) or -e_q (id p + q) and character column r
+    Box column o is +e_o (id o) or -e_o (id p + o) and character column r
     is -row(r) (id 2p + r), all of cost 1; on moduli {1, 2} the float rows
     hold exact integers. Eliminations of B and of its transpose give the
-    basic weights xB = B^-1 w and the multipliers pi = 1 B^-1. The basis
-    is optimal when xB >= 0 and no column has negative reduced cost:
-    |pi_q| <= 1 for the box columns, and transform(embed(pi)) >= 0 on
-    every dual pair for the character columns. Returns the weights by
+    basic weights xB = B^-1 w, w the orbit sizes, and the multipliers
+    pi = 1 B^-1. The basis is optimal when xB >= 0 and no column has
+    negative reduced cost: |pi_o| <= 1 for the box columns, and
+    transform(embed(pi)) >= 0 at every row's least character for the
+    character columns. Returns the weights by
     column id, the objective sum(xB) and pi; raises
     CertificateInvalidError on the first failed check.
     """
@@ -273,7 +378,7 @@ def _exact_basis(problem: LPProblem, basis: list[int]):
         else:
             cols.append([-int(v) for v in problem.row(b - 2 * p).tolist()])
     _det, xB = solve_fractions(list(zip(*cols)),
-                               [[s] for s in problem.sizes.tolist()])
+                               [[s] for s in problem.orbit_sizes.tolist()])
     if xB is None:
         raise CertificateInvalidError("final basis is singular")
     xB = [x for x, in xB]
@@ -286,9 +391,9 @@ def _exact_basis(problem: LPProblem, basis: list[int]):
     over = np.flatnonzero(abs(pi) > 1)
     if over.size:
         raise CertificateInvalidError(
-            f"multiplier of pair {over[0]} is {pi[over[0]]}, beyond [-1, 1]")
+            f"multiplier of orbit {over[0]} is {pi[over[0]]}, beyond [-1, 1]")
     fhat = _axis_transform(_embed(problem, pi), problem.group.moduli, False)
-    rc = fhat[problem.dual_index]
+    rc = fhat[problem.row_index]
     bad = np.flatnonzero(rc < 0)
     if bad.size:
         raise CertificateInvalidError(
@@ -318,13 +423,13 @@ def solve_lp(problem: LPProblem, mode: str = "float",
         return LPSolution("optimal", 1.0, f, lam, 0.0, problem,
                           Fraction(1) if exact else None)
 
-    w = problem.sizes.astype(float)
+    w = problem.orbit_sizes.astype(float)
     tol = tolerances.feasibility
     offered = np.zeros(problem.n_rows, dtype=bool)
 
     def price(pi):
         fhat = _axis_transform(_embed(problem, pi), G.moduli, False).real
-        rc = fhat[problem.dual_index]
+        rc = fhat[problem.row_index]
         # violated rows not offered yet, by (rc, r): a stable sort of the
         # ascending candidate indices breaks rc ties by the lower row
         cand = np.flatnonzero((rc < -tol) & ~offered)
@@ -361,7 +466,10 @@ def solve_lp(problem: LPProblem, mode: str = "float",
     lam = _certificate_from_weights(problem, weights, exact_value is not None)
     upper = verify_dual_certificate(problem, lam, tolerances)
     f, primal = _mixed_witness(problem, pi)
-    gap = abs(float(upper) - primal)
+    # a proven basis makes embed(pi) an exact witness: its transform is
+    # >= 0 and its ratio 1 + pi . w = 1 + sum(xB) is the exact value, so
+    # only the float copy f carries rounding, not the bracket
+    gap = 0.0 if exact_value is not None else abs(float(upper) - primal)
     return LPSolution(res.status, float(upper), f, lam, gap, problem,
                       exact_value, diag)
 

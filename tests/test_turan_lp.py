@@ -315,17 +315,104 @@ def _random_domain(rng, G, pairs):
     return symmetric_domain(G, elems)
 
 
+def _pair_problem(G, dom):
+    """The program over negation pairs alone, as built before the orbit
+    reduction: one variable per pair of the domain, one row per pair of
+    characters, written with one pair per orbit."""
+    from turanlab import LPProblem
+    from turanlab.groups import digits, flat, negation_pairs
+    from turanlab.harmonic import _root_table
+
+    mods = G.moduli
+    N = math.lcm(*mods)
+    pairs = dom.pair_representatives()
+    pair_coords = np.array([x for x, _s in pairs],
+                           dtype=np.int64).reshape(len(pairs), len(mods))
+    reps, sizes = negation_pairs(mods, np.arange(G.order))
+    dual_index = np.concatenate(([0], reps))
+    scale = np.array([N // m for m in mods], dtype=np.int64)
+    return LPProblem(
+        G, dom, pairs,
+        sizes=np.array([s for _x, s in pairs], dtype=np.int64),
+        phase_x=pair_coords * scale,
+        pair_index=flat(mods, pair_coords),
+        pair_neg_index=flat(mods, -pair_coords),
+        orbit_start=np.arange(len(pairs)),
+        dual_coords=digits(mods, dual_index).astype(
+            np.min_scalar_type(max(mods, default=1))),
+        dual_sizes=np.concatenate(([1], sizes)),
+        dual_index=dual_index,
+        row_order=np.arange(len(dual_index)),
+        row_start=np.arange(len(dual_index)),
+        cos_table=np.ascontiguousarray(_root_table(N).real))
+
+
+def _swap(x, i, j):
+    y = list(x)
+    y[i], y[j] = y[j], y[i]
+    return tuple(y)
+
+
+def _closure(G, start, swaps):
+    """The union of the orbits of ``start`` under -1 and the coordinate
+    swaps, by breadth-first search on tuples."""
+    seen = set(start)
+    todo = list(seen)
+    while todo:
+        x = todo.pop()
+        for y in [G.neg(x)] + [_swap(x, i, j) for i, j in swaps]:
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+def _random_swaps(rng, moduli):
+    """Adjacent swaps that generate every permutation of random blocks of
+    coordinates with equal moduli."""
+    swaps = []
+    for m in sorted(set(moduli)):
+        coords = [j for j, mj in enumerate(moduli) if mj == m]
+        rng.shuffle(coords)
+        while coords:
+            block = sorted(coords[:rng.randint(1, len(coords))])
+            coords = coords[len(block):]
+            swaps += list(zip(block, block[1:]))
+    return swaps
+
+
+def _orbit_union_domain(rng, G, seeds):
+    """0 and the orbits of ``seeds`` random elements under -1 and the
+    permutations of random blocks of equal-modulus coordinates."""
+    nonzero = [x for x in G.elements() if x != G.identity()]
+    start = [G.identity()] + rng.sample(nonzero, min(len(nonzero), seeds))
+    return symmetric_domain(G, _closure(G, start, _random_swaps(rng, G.moduli)))
+
+
+def _orbit_pairs(prob):
+    """The pairs of each variable orbit, in order."""
+    return [[prob.pairs[q] for q in prob.orbit_pairs(o)]
+            for o in range(prob.n_vars)]
+
+
 def test_rows_match_transform_of_a_delta():
+    """Row r holds, per variable orbit, the sum over the orbit's pairs of
+    pair size times the transform of a delta at the row's least
+    character; the domains are unions of orbits of coordinate swaps."""
     rng = random.Random(90405)
+    merged = 0
     for case in range(80):
         G = _random_lp_group(rng)
-        prob = build_lp_problem(G, _random_domain(rng, G, rng.randint(1, 8)))
+        prob = build_lp_problem(G, _orbit_union_domain(rng, G,
+                                                       rng.randint(1, 8)))
+        merged += prob.n_vars < len(prob.pairs)
         assert prob.dual_pairs == [(G.identity(), 1)] + \
             G.pair_representatives(G.elements())
         quarter = all(m in (1, 2, 4) for m in G.moduli)
-        for r, (t, _s) in enumerate(prob.dual_pairs):
-            re = tl.dft(tl.from_dict(G, {t: 1.0})).values.real
-            want = np.array([s * re[G.index(x)] for x, s in prob.pairs])
+        for r, t in enumerate(prob.row_index.tolist()):
+            re = tl.dft(tl.from_dict(G, {G.element(t): 1.0})).values.real
+            want = np.array([sum(s * re[G.index(x)] for x, s in orbit)
+                             for orbit in _orbit_pairs(prob)])
             got = prob.row(r)
             if quarter:
                 # bit for bit; adding 0.0 only merges the two signed zeros
@@ -334,23 +421,30 @@ def test_rows_match_transform_of_a_delta():
             else:
                 assert np.abs(got - want).max(initial=0.0) <= 1e-12, \
                     f"case {case}: {G.moduli} row {r}"
+    assert merged >= 20, "too few cases merged pairs into orbits"
 
 
 def test_exact_rows_match_sign_transform():
     """Exact mode reads the float rows; on moduli {1, 2} they must equal
-    the integer sign transform exactly, which the exact finish relies on."""
+    the orbit sums of the integer sign transform exactly, which the exact
+    finish relies on."""
     rng = random.Random(90406)
+    merged = 0
     for case in range(40):
         G = make_group([2] * rng.randint(1, 8) + [1] * rng.randint(0, 1))
-        prob = build_lp_problem(G, _random_domain(rng, G, rng.randint(1, 6)))
-        for r, (t, _s) in enumerate(prob.dual_pairs):
+        prob = build_lp_problem(G, _orbit_union_domain(rng, G,
+                                                       rng.randint(1, 6)))
+        merged += prob.n_vars < len(prob.pairs)
+        for r, t in enumerate(prob.row_index.tolist()):
             delta = [0] * G.order
-            delta[G.index(t)] = 1
+            delta[t] = 1
             re = tl.dft_exact_signs(G, delta)
-            want = [s * re[G.index(x)] for x, s in prob.pairs]
+            want = [sum(s * re[G.index(x)] for x, s in orbit)
+                    for orbit in _orbit_pairs(prob)]
             got = prob.row(r)
             assert got.dtype == float
             assert got.tolist() == want, f"case {case}: {G.moduli} row {r}"
+    assert merged >= 10, "too few cases merged pairs into orbits"
 
 
 def _hh_domain(k):
@@ -381,22 +475,41 @@ def _record_pricing(monkeypatch):
     return calls
 
 
+# (rng seed, seed elements) of the orbit-union domains under the swaps
+# (0 1) and (2 3) that the pricing test runs on Z_2^k: k = 8 takes five
+# rounds, two of them with more than 32 violated rows; k = 6 takes three
+_PRICING_DOMAINS = {8: (6, 24), 6: (2, 10)}
+
+
+def _pricing_domain(k):
+    seed, count = _PRICING_DOMAINS[k]
+    rng = random.Random(seed)
+    G = make_group([2] * k)
+    nonzero = [x for x in G.elements() if x != G.identity()]
+    start = [G.identity()] + rng.sample(nonzero, count)
+    return G, symmetric_domain(G, _closure(G, start, [(0, 1), (2, 3)]))
+
+
 @pytest.mark.parametrize("k,mode", [(8, "float"), (6, "exact-rational")])
 def test_price_offers_rows_once_in_rc_order(monkeypatch, k, mode):
-    """Each round offers the not yet offered violated rows by (rc, r),
-    at most 32; rc is recomputed here as 1 + row . pi. Exact mode prices
-    with the same float multipliers; there rc is recomputed in Fractions
-    of those floats, whose float transform is exact on this instance, so
-    the order is checked exactly, ties included. Float mode checks the
-    order within rounding."""
-    calls = _record_pricing(monkeypatch)
-    G, dom = _hh_domain(k)
+    """Each round offers the not yet offered violated orbit rows by
+    (rc, r), at most 32; rc is recomputed here as 1 + row . pi. Exact
+    mode prices with the same float multipliers; there rc is recomputed
+    in Fractions of those floats, whose float transform is exact on this
+    instance, so the order is checked exactly, ties included. Float mode
+    checks the order within rounding. The value is that of the pair-only
+    program."""
+    G, dom = _pricing_domain(k)
     exact = mode == "exact-rational"
+    want = solve_lp(_pair_problem(G, dom), mode)
+    calls = _record_pricing(monkeypatch)
     prob = build_lp_problem(G, dom)
+    assert prob.n_vars < len(prob.pairs) and prob.n_rows < len(prob.dual_index)
     sol = solve_lp(prob, mode)
-    assert sol.status == "optimal" and sol.value == pytest.approx(k)
+    assert sol.status == "optimal"
+    assert sol.value == pytest.approx(want.value, abs=1e-9)
     if exact:
-        assert sol.exact_value == k
+        assert sol.exact_value == want.exact_value
     tol = 1e-9
     seen: set[int] = set()
     capped = False
@@ -425,6 +538,165 @@ def test_price_offers_rows_once_in_rc_order(monkeypatch, k, mode):
     assert calls[-1][1] == []
     if not exact:
         assert capped, "no round had more than 32 violated rows"
+
+
+def _random_product_group(rng):
+    """Z_2^k, Z_3^k or Z_4^k, or a product of mixed moduli; rank 1 to 12,
+    order at most 4096."""
+    shape = rng.randrange(3)
+    if shape == 0:
+        return make_group([2] * rng.randint(1, 12))
+    if shape == 1:
+        m = rng.choice([3, 4])
+        return make_group([m] * rng.randint(1, 7 if m == 3 else 6))
+    moduli = [rng.choice([2, 3, 4])]
+    while len(moduli) < 12 and rng.random() < 0.85:
+        m = rng.choice([2, 3, 4, 5, 6])
+        if math.prod(moduli) * m > 4096:
+            break
+        moduli.append(m)
+    return make_group(moduli)
+
+
+def _same_solution(got, want):
+    assert got.status == want.status
+    assert repr(got.value) == repr(want.value)
+    assert repr(got.gap) == repr(want.gap)
+    assert got.dual.dtype == want.dual.dtype
+    if got.dual.dtype == object:
+        assert [(type(v), v) for v in got.dual] == \
+            [(type(v), v) for v in want.dual]
+    else:
+        assert got.dual.tobytes() == want.dual.tobytes()
+    assert got.f.values.tobytes() == want.f.values.tobytes()
+    assert got.diagnostics == want.diagnostics
+    assert got.exact_value == want.exact_value
+
+
+def test_no_symmetry_solves_as_pairs():
+    """Where no coordinate swap fixes the domain, every orbit is a
+    negation pair: the problem equals the pair-only one array for array,
+    and the float solve, and on Z_2^k the exact solve, match it byte for
+    byte."""
+    from turanlab.groups import fixing_transpositions
+
+    rng = random.Random(90411)
+    solved = exact = 0
+    while solved < 36:
+        G = _random_product_group(rng)
+        dom = _random_domain(rng, G, rng.randint(1, 30))
+        omega = sorted(G.index(x) for x in dom.elements)
+        if len(fixing_transpositions(G.moduli, omega)):
+            continue
+        solved += 1
+        prob, ref = build_lp_problem(G, dom), _pair_problem(G, dom)
+        for f in dataclasses.fields(prob):
+            got, want = getattr(prob, f.name), getattr(ref, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype, f.name
+                assert np.array_equal(got, want), f"{G.moduli}: {f.name}"
+            else:
+                assert got == want, f.name
+        modes = ["float"]
+        if set(G.moduli) == {2}:
+            modes.append("exact-rational")
+            exact += 1
+        for mode in modes:
+            _same_solution(solve_lp(prob, mode), solve_lp(ref, mode))
+    assert exact >= 5
+
+
+def test_orbit_reduction_keeps_the_value():
+    """On unions of orbits of coordinate swaps, the orbit program and the
+    pair-only program agree within 1e-9 in float and exactly on Z_2^k;
+    every certificate, spread back to the character pairs, passes the
+    unchanged checker of either program, and every witness is accepted."""
+    rng = random.Random(90412)
+    shapes = [[2] * k for k in range(1, 10)] + [[3] * k for k in range(1, 6)] \
+        + [[4] * k for k in range(1, 5)] \
+        + [[2, 2, 3, 3], [2, 2, 4, 4], [3, 3, 4, 4], [2, 3, 3, 3], [4, 4, 2]]
+    merged = 0
+    for case in range(60):
+        G = make_group(rng.choice(shapes))
+        dom = _orbit_union_domain(rng, G, rng.randint(1, 6))
+        red, full = build_lp_problem(G, dom), _pair_problem(G, dom)
+        merged += red.n_vars < full.n_vars
+        modes = ["float"] + (["exact-rational"] if set(G.moduli) == {2}
+                             else [])
+        for mode in modes:
+            got, want = solve_lp(red, mode), solve_lp(full, mode)
+            assert got.status == want.status == "optimal"
+            assert abs(got.value - want.value) <= 1e-9, \
+                f"case {case}: {G.moduli} {got.value} {want.value}"
+            for prob in (red, full):
+                bound = verify_dual_certificate(prob, got.dual)
+                assert abs(float(bound) - got.value) <= 1e-9
+            assert witness_ratio(got.f, dom).as_float() == \
+                pytest.approx(got.value, abs=1e-6)
+            if mode == "exact-rational":
+                assert got.exact_value == want.exact_value
+                assert verify_dual_certificate(red, got.dual) == \
+                    got.exact_value
+    assert merged >= 30, "too few cases merged pairs into orbits"
+
+
+def test_symmetries_match_a_brute_force_orbit_closure():
+    """The kept swaps are exactly those that map the domain onto itself;
+    every label is the least flat index of its orbit under -1 and the kept
+    swaps; the program's variable and row orbits are those orbits."""
+    from turanlab.groups import fixing_transpositions, orbit_labels
+
+    rng = random.Random(90413)
+    for case in range(60):
+        m = rng.choice([2, 3, 4, 5])
+        moduli = [m] * rng.randint(1, {2: 7, 3: 5, 4: 4, 5: 3}[m])
+        if rng.random() < 0.3:
+            moduli += [rng.choice([2, 3])] * 2
+        G = make_group(moduli)
+        dom = (_orbit_union_domain(rng, G, rng.randint(1, 5)) if case % 3
+               else _random_domain(rng, G, rng.randint(1, 5)))
+        omega = sorted(G.index(x) for x in dom.elements)
+        kept = fixing_transpositions(G.moduli, omega).tolist()
+        want = [[i, j] for i, j in itertools.combinations(range(G.rank), 2)
+                if moduli[i] == moduli[j] > 1
+                and {_swap(x, i, j) for x in dom.elements} == dom.elements]
+        assert kept == want, f"case {case}: {moduli}"
+
+        reps = [0] + [G.index(x) for x, _s in
+                      G.pair_representatives(G.elements())]
+        labels = orbit_labels(G.moduli, kept, reps).tolist()
+        for t, label in zip(reps, labels):
+            orbit = _closure(G, [G.element(t)], kept)
+            assert label == min(G.index(y) for y in orbit), \
+                f"case {case}: {moduli} {G.element(t)}"
+
+        prob = build_lp_problem(G, dom)
+        for orbit in _orbit_pairs(prob):
+            members = {y for x, _s in orbit for y in (x, G.neg(x))}
+            assert members == _closure(G, [orbit[0][0]], kept)
+        for r, t in enumerate(prob.row_index.tolist()):
+            chars = {y for q in prob.row_pairs(r).tolist()
+                     for y in (G.element(int(prob.dual_index[q])),
+                               G.neg(G.element(int(prob.dual_index[q]))))}
+            assert chars == _closure(G, [G.element(t)], kept)
+            assert prob.row_sizes[r] == len(chars)
+
+
+@pytest.mark.parametrize("k", range(2, 14))
+def test_hypercube_difference_set_is_one_variable(k):
+    """Z_2^k with H - H, H the unit vectors: the weight-2 vectors are one
+    orbit and the character weights k + 1 orbits, so the program has one
+    variable and k + 1 rows. With f = c on the weight-2 vectors the row
+    of weight w reads 1 + c ((k - 2w)^2 - k) / 2, least at (k - 2w)^2 = 0
+    for even k and 1 for odd k, so the value 1 + c k (k - 1) / 2 is k for
+    even k and k + 1 for odd k; it is proven exactly."""
+    G, dom = _hh_domain(k)
+    prob = build_lp_problem(G, dom)
+    assert (prob.n_vars, prob.n_rows) == (1, k + 1)
+    sol = solve_lp(prob, "exact-rational")
+    assert sol.status == "optimal"
+    assert sol.exact_value == k + k % 2
+    assert abs(turan_constant(G, dom).value - (k + k % 2)) <= 1e-9
 
 
 def test_singular_basis_restart_offers_rows_again(monkeypatch):
