@@ -22,13 +22,22 @@ program is an upper bound for the constant, so even a budget-truncated
 run returns something rigorous. Certificates stay in the full space of
 negation pairs: each orbit's weight is spread over its pairs, and the
 spread certificate is checked as it would be without the reduction.
+
+The character side of a problem, the character pairs, their orbits
+and the cosine table, depends only on the moduli and the kept swaps.
+It is built once per such group (``CHARACTER_CACHE_SIZE`` groups are
+kept) and shared read-only by every problem on it; a build computes
+only the domain side. ``LPProblem.row`` takes one row index or an
+array of them, so a pricing round builds all the rows it offers at
+once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -84,6 +93,11 @@ class LPProblem:
     the pairs and the rows' least characters in the group's enumeration
     for the whole-group transforms of pricing, the certificate and the
     witness; the exact finish runs the same transforms on Fractions.
+
+    The character-side arrays, ``dual_coords``, ``dual_sizes``,
+    ``dual_index``, ``row_order``, ``row_start`` and ``cos_table``, are
+    shared by every problem on the same moduli and kept swaps, and are
+    read-only. ``row`` takes a row index or an array of row indices.
     """
 
     group: FiniteAbelianGroup
@@ -156,12 +170,14 @@ class LPProblem:
     def _cos(self, phases: np.ndarray) -> np.ndarray:
         return self.cos_table[phases % len(self.cos_table)]
 
-    def row(self, r: int) -> np.ndarray:
+    def row(self, r) -> np.ndarray:
         """Constraint row a_r: per variable orbit, the sum over its pairs of
-        pair size times Re gamma_r; an orbit of one pair keeps its entry."""
+        pair size times Re gamma_r; an orbit of one pair keeps its entry.
+        An array of row indices gives one row per entry, each with the
+        bits of its own ``row(r)``."""
         per_pair = self.sizes * self._cos(
-            self.phase_x @ self.dual_coords[self.row_rep[r]])
-        return np.add.reduceat(per_pair, self.orbit_start)
+            self.dual_coords[self.row_rep[r]] @ self.phase_x.T)
+        return np.add.reduceat(per_pair, self.orbit_start, axis=-1)
 
     def dual_reals(self, q: int) -> np.ndarray:
         """Re gamma_t(x_q) for every character pair t, sizes not applied."""
@@ -178,6 +194,36 @@ def _orbits(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.flatnonzero(first)
 
 
+# groups whose character side stays built; a bounds round meets 22
+CHARACTER_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=CHARACTER_CACHE_SIZE)
+def _character_side(moduli: tuple[int, ...],
+                    swaps: tuple[tuple[int, int], ...]) -> dict:
+    """The fields of ``LPProblem`` that depend only on the group and the
+    kept swaps: the character pairs, their rows and the cosine table.
+    Every problem on that group and symmetry shares them, so the arrays
+    are read-only."""
+    N = math.lcm(*moduli)
+    # character pairs by the rule of negation_pairs, the trivial one first
+    dual_reps, dual_sizes = negation_pairs(moduli, np.arange(math.prod(moduli)))
+    dual_index = np.concatenate(([0], dual_reps))
+    row_order, row_start = _orbits(orbit_labels(moduli, swaps, dual_index))
+    side = dict(
+        # solutions keep their problem; the narrowest dtype keeps this small
+        dual_coords=digits(moduli, dual_index).astype(
+            np.min_scalar_type(max(moduli, default=1))),
+        dual_sizes=np.concatenate(([1], dual_sizes)),
+        dual_index=dual_index,
+        row_order=row_order,
+        row_start=row_start,
+        cos_table=np.ascontiguousarray(_root_table(N).real))
+    for a in side.values():
+        a.flags.writeable = False
+    return side
+
+
 def build_lp_problem(group: FiniteAbelianGroup,
                      domain: SymmetricDomain) -> LPProblem:
     if domain.group != group:
@@ -191,10 +237,6 @@ def build_lp_problem(group: FiniteAbelianGroup,
     order, orbit_start = _orbits(orbit_labels(mods, swaps, reps))
     reps, sizes = reps[order], sizes[order]
     pair_coords = digits(mods, reps)
-    # character pairs by the rule of negation_pairs, the trivial one first
-    dual_reps, dual_sizes = negation_pairs(mods, np.arange(group.order))
-    dual_index = np.concatenate(([0], dual_reps))
-    row_order, row_start = _orbits(orbit_labels(mods, swaps, dual_index))
     scale = np.array([N // m for m in mods], dtype=np.int64)
     return LPProblem(
         group, domain,
@@ -204,14 +246,7 @@ def build_lp_problem(group: FiniteAbelianGroup,
         pair_index=reps,
         pair_neg_index=flat(mods, -pair_coords),
         orbit_start=orbit_start,
-        # solutions keep their problem; the narrowest dtype keeps this small
-        dual_coords=digits(mods, dual_index).astype(
-            np.min_scalar_type(max(mods, default=1))),
-        dual_sizes=np.concatenate(([1], dual_sizes)),
-        dual_index=dual_index,
-        row_order=row_order,
-        row_start=row_start,
-        cos_table=np.ascontiguousarray(_root_table(N).real))
+        **_character_side(mods, tuple(map(tuple, swaps.tolist()))))
 
 
 @dataclass
@@ -258,6 +293,23 @@ def _fold_box_weight(problem: LPProblem, lam, q: int, mu, sign: int) -> None:
     lam += (mu / problem.group.order) * problem.dual_sizes * (1 - sign * re)
 
 
+def _spread_rows(problem: LPProblem, lam, run: list) -> None:
+    """Spread the weights mu of the character columns in ``run``, (row,
+    mu) pairs, over their rows' pairs with one indexed add: pair t of row
+    r gains mu * dual_sizes[t] / |R|. Rows are disjoint, so each pair
+    gains at most once, in the arithmetic of ``lam``."""
+    pairs = [problem.row_pairs(r) for r, _mu in run]
+    counts = [len(t) for t in pairs]
+
+    def each(values):
+        return np.repeat(np.array(values, dtype=lam.dtype), counts)
+
+    t = np.concatenate(pairs)
+    mu = each([mu for _r, mu in run])
+    size = each([int(problem.row_sizes[r]) for r, _mu in run])
+    lam[t] += mu * problem.dual_sizes[t].astype(lam.dtype) / size
+
+
 def _certificate_from_weights(problem: LPProblem, weights: dict, exact: bool):
     """Nonnegative weight per character pair, from the basic column weights
     (Fractions when ``exact``, floats otherwise).
@@ -266,28 +318,27 @@ def _certificate_from_weights(problem: LPProblem, weights: dict, exact: bool):
     proportion to their sizes, mu * dual_sizes[t] / |R|; box column o
     folds mu * sizes[q] / |O| for each pair q of orbit o. Either way the
     pairs' constraints add up to the orbit's, and the weights still sum
-    to mu.
+    to mu. Each run of consecutive character columns is spread at once,
+    before the next box column folds, so every pair's additions keep
+    their order.
     """
     p = problem.n_vars
     if exact:
         lam = np.array([Fraction(0)] * len(problem.dual_index), dtype=object)
     else:
         lam = np.zeros(len(problem.dual_index))
-    for cid, mu in weights.items():
-        if mu == 0:
+    nonzero = [(cid, mu) for cid, mu in weights.items() if mu != 0]
+    for is_row, run in groupby(nonzero, key=lambda item: item[0] >= 2 * p):
+        if is_row:
+            _spread_rows(problem, lam, [(cid - 2 * p, mu) for cid, mu in run])
             continue
-        if cid >= 2 * p:
-            r = cid - 2 * p
-            size = int(problem.row_sizes[r])
-            for t in problem.row_pairs(r).tolist():
-                lam[t] += mu * int(problem.dual_sizes[t]) / size
-            continue
-        o = cid % p
-        size = int(problem.orbit_sizes[o])
-        for q in problem.orbit_pairs(o):
-            _fold_box_weight(problem, lam, q,
-                             mu * int(problem.sizes[q]) / size,
-                             1 if cid < p else -1)
+        for cid, mu in run:
+            o = cid % p
+            size = int(problem.orbit_sizes[o])
+            for q in problem.orbit_pairs(o):
+                _fold_box_weight(problem, lam, q,
+                                 mu * int(problem.sizes[q]) / size,
+                                 1 if cid < p else -1)
     return lam
 
 
@@ -435,7 +486,8 @@ def solve_lp(problem: LPProblem, mode: str = "float",
         cand = np.flatnonzero((rc < -tol) & ~offered)
         take = cand[np.argsort(rc[cand], kind="stable")][:32]
         offered[take] = True
-        return [(2 * p + r, -problem.row(r), 1.0) for r in take.tolist()]
+        return [(2 * p + r, a, 1.0)
+                for r, a in zip(take.tolist(), -problem.row(take))]
 
     # the simplex holds the box columns itself
     try:

@@ -699,6 +699,159 @@ def test_hypercube_difference_set_is_one_variable(k):
     assert abs(turan_constant(G, dom).value - (k + k % 2)) <= 1e-9
 
 
+def _one_row(prob, r):
+    """Row r as built one row at a time: the pair entries from integer
+    phases, then one reduceat over the orbits of a 1-d array."""
+    phases = prob.phase_x @ prob.dual_coords[prob.row_rep[r]]
+    per_pair = prob.sizes * prob.cos_table[phases % len(prob.cos_table)]
+    return np.add.reduceat(per_pair, prob.orbit_start)
+
+
+def test_batched_rows_stack_the_single_rows():
+    """row(rs) for an index array is the stack of row(r), and both equal
+    the rows built one at a time, bit for bit. The domains include orbits
+    of 9 and more pairs on factors of order 3, whose entries are inexact,
+    so summing an orbit in another order would change the bits."""
+    rng = random.Random(90416)
+    shapes = [[3] * 4, [3] * 5, [3] * 6, [3] * 4 + [2], [3] * 4 + [4],
+              [5, 5, 3, 3, 3, 3]]
+    long_orbits = 0
+    for case in range(40):
+        if case % 2:
+            # every swap of equal moduli: orbits of up to |S_k| pairs
+            G = make_group(rng.choice(shapes))
+            swaps = [(i, j) for i, j in itertools.combinations(range(G.rank), 2)
+                     if G.moduli[i] == G.moduli[j]]
+            start = rng.sample(G.elements(), rng.randint(1, 4))
+            dom = symmetric_domain(
+                G, _closure(G, [G.identity()] + start, swaps))
+        else:
+            G = _random_product_group(rng)
+            dom = _orbit_union_domain(rng, G, rng.randint(1, 8))
+        prob = build_lp_problem(G, dom)
+        if prob.n_vars == 0:
+            continue
+        per_orbit = np.diff(prob.orbit_start, append=len(prob.pairs))
+        long_orbits += 3 in G.moduli and per_orbit.max() >= 9
+        rs = rng.sample(range(prob.n_rows), min(prob.n_rows, 40)) + [0, 0]
+        got = prob.row(np.array(rs))
+        assert got.shape == (len(rs), prob.n_vars)
+        assert got.tobytes() == np.stack([prob.row(r) for r in rs]).tobytes(), \
+            f"case {case}: {G.moduli}"
+        assert got.tobytes() == np.stack([_one_row(prob, r)
+                                          for r in rs]).tobytes(), \
+            f"case {case}: {G.moduli}"
+        assert prob.row(np.array([], dtype=np.int64)).shape == (0, prob.n_vars)
+    assert long_orbits >= 10, "too few orbits of 9 pairs on order-3 factors"
+
+
+def _spread_per_pair(problem, weights, exact):
+    """The certificate spread with one add per character pair of a row."""
+    from turanlab.turan_lp import _fold_box_weight
+
+    p = problem.n_vars
+    if exact:
+        lam = np.array([Fraction(0)] * len(problem.dual_index), dtype=object)
+    else:
+        lam = np.zeros(len(problem.dual_index))
+    for cid, mu in weights.items():
+        if mu == 0:
+            continue
+        if cid >= 2 * p:
+            r = cid - 2 * p
+            size = int(problem.row_sizes[r])
+            for t in problem.row_pairs(r).tolist():
+                lam[t] += mu * int(problem.dual_sizes[t]) / size
+            continue
+        o = cid % p
+        size = int(problem.orbit_sizes[o])
+        for q in problem.orbit_pairs(o):
+            _fold_box_weight(problem, lam, q,
+                             mu * int(problem.sizes[q]) / size,
+                             1 if cid < p else -1)
+    return lam
+
+
+def test_row_spread_matches_the_per_pair_loop():
+    """Runs of character columns spread at once give the bits of one add
+    per pair, in float and in Fractions, with box columns between runs
+    and zero weights skipped."""
+    from turanlab.turan_lp import _certificate_from_weights
+
+    rng = random.Random(90417)
+    shapes = [[2] * k for k in range(3, 8)] + [[3] * 4, [3, 3, 3, 2], [4] * 3]
+    interleaved = fractions = 0
+    for case in range(60):
+        G = make_group(rng.choice(shapes))
+        prob = build_lp_problem(G, _orbit_union_domain(rng, G,
+                                                       rng.randint(1, 8)))
+        p = prob.n_vars
+        if p == 0:
+            continue
+        exact = set(G.moduli) == {2} and case % 2 == 0
+        fractions += exact
+        ids = (rng.sample(range(2 * p), min(2 * p, 3))
+               + rng.sample(range(2 * p, 2 * p + prob.n_rows),
+                            min(prob.n_rows, 12)))
+        rng.shuffle(ids)
+        kinds = "".join("r" if cid >= 2 * p else "b" for cid in ids)
+        interleaved += "rrbr" in kinds or "rbrr" in kinds
+        weights = {}
+        for cid in ids:
+            if rng.random() < 0.1:
+                weights[cid] = 0
+            elif exact:
+                weights[cid] = Fraction(rng.randint(1, 99), rng.randint(1, 99))
+            else:
+                weights[cid] = rng.random() * 10 ** rng.randint(-3, 3)
+        got = _certificate_from_weights(prob, weights, exact)
+        want = _spread_per_pair(prob, weights, exact)
+        assert got.dtype == want.dtype
+        if exact:
+            assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
+        else:
+            assert got.tobytes() == want.tobytes(), f"case {case}: {G.moduli}"
+    assert interleaved >= 10, "too few box columns between row runs"
+    assert fractions >= 10, "too few cases with Fraction weights"
+
+
+def test_character_side_is_shared_per_group():
+    """The character side is built once per group and kept swaps: a cold
+    build equals a warm one field by field, equal moduli share the arrays
+    across make_group calls, the shared arrays are read-only, and the
+    cache stops at its bound."""
+    from turanlab import turan_lp
+
+    elems = [(0, 0, 0), (1, 2, 0), (2, 1, 0), (1, 1, 1), (2, 2, 1)]
+    G = make_group([3, 3, 2])
+    warm = build_lp_problem(G, symmetric_domain(G, elems))
+    warm = build_lp_problem(G, symmetric_domain(G, elems))
+    turan_lp._character_side.cache_clear()
+    cold = build_lp_problem(G, symmetric_domain(G, elems))
+    shared = ("dual_coords", "dual_sizes", "dual_index", "row_order",
+              "row_start", "cos_table")
+    for f in dataclasses.fields(cold):
+        got, want = getattr(cold, f.name), getattr(warm, f.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype, f.name
+            assert np.array_equal(got, want), f.name
+        else:
+            assert got == want, f.name
+
+    H = make_group([3, 3, 2])
+    other = build_lp_problem(H, symmetric_domain(H, elems))
+    for name in shared:
+        assert getattr(other, name) is getattr(cold, name), name
+        with pytest.raises(ValueError):
+            getattr(cold, name)[0] = 0
+
+    bound = turan_lp.CHARACTER_CACHE_SIZE
+    for n in range(2, bound + 8):
+        Z = make_group([n])
+        build_lp_problem(Z, symmetric_domain(Z, {0, 1, n - 1}))
+    assert turan_lp._character_side.cache_info().currsize == bound
+
+
 def test_singular_basis_restart_offers_rows_again(monkeypatch):
     """A forced SingularBasisError after the first pricing round: the
     perturbed re-solve must start with no row marked offered, or the rows
