@@ -6,12 +6,15 @@ The transform is the dense character sum
     gamma_t(x) = exp(2 pi i sum_j t_j x_j / n_j),
 
 computed factor by factor along the cyclic components, no FFT library.
-An order-2 factor is the butterfly (a + b, a - b) in the array's own
+Each factor is one pass over a flat buffer whose axes rotate, so the
+factor at hand is always the leading axis. An order-2 factor is the
+butterfly (a + b, a - b) of the buffer's two halves in the array's own
 number type, so ints and Fractions stay exact; a factor of order >= 3
-multiplies by a small dense DFT matrix in complex arithmetic. Roots of
-unity at quarter turns are snapped to their exact values 1, -1, i, -i,
-so on groups of exponent 2 or 4 the transform of an integer-valued
-function is exactly integer-valued in float arithmetic.
+multiplies by a small dense DFT matrix in complex arithmetic, on the
+same operand that ``np.tensordot`` would build, which keeps its bits.
+Roots of unity at quarter turns are snapped to their exact values 1,
+-1, i, -i, so on groups of exponent 2 or 4 the transform of an
+integer-valued function is exactly integer-valued in float arithmetic.
 """
 from __future__ import annotations
 
@@ -121,25 +124,46 @@ def indicator(group: FiniteAbelianGroup, subset: Iterable) -> GroupFunction:
 def _axis_transform(arr: np.ndarray, moduli: tuple[int, ...], conjugate: bool) -> np.ndarray:
     """Character sum of ``arr`` (flat, enumeration order), factor by factor.
 
+    One pass per factor over a flat buffer whose axes rotate: before the
+    pass over factor j it holds the axes j, j+1, ..., k-1, 0, ..., j-1
+    in C order, so factor j is the leading axis, and the pass leaves it
+    last. An order-2 factor is the butterfly of the two contiguous
+    halves, written into the two columns of the next buffer. An order
+    >= 3 factor multiplies ``np.dot(W, b)`` with b the operand that
+    ``np.tensordot`` would build, axis j first and the other axes in
+    their original order, C-contiguous, and the product is then written
+    back rotated: BLAS may round an entry differently at another column
+    position, and this operand keeps the bits of the tensordot path.
+
     Order-2 factors keep the number type; the result turns complex at the
     first factor of order >= 3, which an ``object`` array cannot meet.
+    ``arr`` is only read; the result is always a new array.
     """
-    out = np.array(arr).reshape(moduli if moduli else (1,))
-    for axis, n in enumerate(moduli):
+    x = src = np.asarray(arr).reshape(moduli or (1,))
+    after = x.size
+    for n in moduli:
+        after //= n
         if n == 1:
             continue
+        rest = x.size // n
         if n == 2:
-            a, b = out.take(0, axis), out.take(1, axis)
-            out = np.stack((a + b, a - b), axis=axis)
-            continue
-        if out.dtype == object:
-            raise ValueError(f"exact transform needs every modulus in {{1, 2}}, got {n}")
-        W = _dft_matrix(n)
-        if conjugate:
-            W = W.conj()
-        out = np.moveaxis(np.tensordot(W, out.astype(complex, copy=False), axes=(1, axis)),
-                          0, axis)
-    return out.reshape(-1)
+            a, b = x.reshape(2, rest)
+            out = np.empty((rest, 2), dtype=x.dtype)
+            np.add(a, b, out=out[:, 0])
+            np.subtract(a, b, out=out[:, 1])
+        else:
+            if x.dtype == object:
+                raise ValueError(f"exact transform needs every modulus in {{1, 2}}, got {n}")
+            W = _dft_matrix(n)
+            if conjugate:
+                W = W.conj()
+            before = rest // after
+            b = np.ascontiguousarray(
+                x.reshape(n, after, before).transpose(0, 2, 1), dtype=complex)
+            prod = np.dot(W, b.reshape(n, rest)).reshape(n, before, after)
+            out = np.ascontiguousarray(prod.transpose(2, 1, 0))
+        x = out
+    return (x.copy() if x is src else x).reshape(-1)
 
 
 def dft(f: GroupFunction) -> DualFunction:

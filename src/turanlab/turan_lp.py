@@ -179,10 +179,6 @@ class LPProblem:
             self.dual_coords[self.row_rep[r]] @ self.phase_x.T)
         return np.add.reduceat(per_pair, self.orbit_start, axis=-1)
 
-    def dual_reals(self, q: int) -> np.ndarray:
-        """Re gamma_t(x_q) for every character pair t, sizes not applied."""
-        return self._cos(self.dual_coords @ self.phase_x[q])
-
 
 def _orbits(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group positions by label: the positions in ascending label order
@@ -276,21 +272,37 @@ class LPSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _fold_box_weight(problem: LPProblem, lam, q: int, mu, sign: int) -> None:
-    """Eliminate the weight of pair q's box constraint into character-pair
-    weights.
+def _fold_boxes(problem: LPProblem, lam, run: list) -> None:
+    """Eliminate the weights of the box columns in ``run``, (column id,
+    mu) pairs, into character-pair weights.
 
-    The box constraint f(0) -+ f(x_q) >= 0 is the average of character
-    constraints with coefficients (1 -+ Re gamma(x_q)) / |G|, all
-    nonnegative, so its dual weight mu spreads over the character pairs
-    without changing either feasibility or the objective. The arithmetic
-    is that of ``lam``: for Fraction weights the +-1 character values are
-    read as ints.
+    Box column o (id o, or p + o for the minus sign) gives pair q of
+    orbit o the weight mu_q = mu * sizes[q] / |O|. The box constraint
+    f(0) -+ f(x_q) >= 0 is the average of character constraints with
+    coefficients (1 -+ Re gamma(x_q)) / |G|, all nonnegative, so mu_q
+    spreads over the character pairs without changing either
+    feasibility or the objective. One product of integer phases serves
+    every pair of the run; each pair's term is then added to ``lam`` in
+    turn, so every character pair's additions keep their order. The
+    arithmetic is that of ``lam``: for Fraction weights the +-1
+    character values are read as ints.
     """
-    re = problem.dual_reals(q)
+    p = problem.n_vars
+    qs, coef, sign = [], [], []
+    for cid, mu in run:
+        o = cid % p
+        size = int(problem.orbit_sizes[o])
+        for q in problem.orbit_pairs(o):
+            qs.append(q)
+            coef.append(mu * int(problem.sizes[q]) / size / problem.group.order)
+            sign.append(1 if cid < p else -1)
+    re = problem._cos(problem.phase_x[qs] @ problem.dual_coords.T)
     if lam.dtype == object:
         re = re.astype(int)
-    lam += (mu / problem.group.order) * problem.dual_sizes * (1 - sign * re)
+    terms = (np.array(coef, dtype=lam.dtype)[:, None] * problem.dual_sizes
+             * (1 - np.array(sign)[:, None] * re))
+    for term in terms:
+        lam += term
 
 
 def _spread_rows(problem: LPProblem, lam, run: list) -> None:
@@ -319,8 +331,8 @@ def _certificate_from_weights(problem: LPProblem, weights: dict, exact: bool):
     folds mu * sizes[q] / |O| for each pair q of orbit o. Either way the
     pairs' constraints add up to the orbit's, and the weights still sum
     to mu. Each run of consecutive character columns is spread at once,
-    before the next box column folds, so every pair's additions keep
-    their order.
+    and each run of consecutive box columns is folded at once, so every
+    pair's additions keep their order.
     """
     p = problem.n_vars
     if exact:
@@ -331,14 +343,8 @@ def _certificate_from_weights(problem: LPProblem, weights: dict, exact: bool):
     for is_row, run in groupby(nonzero, key=lambda item: item[0] >= 2 * p):
         if is_row:
             _spread_rows(problem, lam, [(cid - 2 * p, mu) for cid, mu in run])
-            continue
-        for cid, mu in run:
-            o = cid % p
-            size = int(problem.orbit_sizes[o])
-            for q in problem.orbit_pairs(o):
-                _fold_box_weight(problem, lam, q,
-                                 mu * int(problem.sizes[q]) / size,
-                                 1 if cid < p else -1)
+        else:
+            _fold_boxes(problem, lam, list(run))
     return lam
 
 
@@ -387,16 +393,21 @@ def _embed(problem: LPProblem, y) -> np.ndarray:
     return vals
 
 
-def _mixed_witness(problem: LPProblem, y) -> tuple[GroupFunction, float]:
+def _mixed_witness(problem: LPProblem, y,
+                   fhat: np.ndarray | None = None) -> tuple[GroupFunction, float]:
     """Project the iterate to a genuinely feasible witness.
 
     Mixing with a small multiple of the unit impulse lifts any slightly
     negative transform values to zero and keeps the support inside the
-    domain; the cost is a proportional shrink of the ratio.
+    domain; the cost is a proportional shrink of the ratio. ``fhat`` is
+    the real part of the transform of ``_embed(problem, y)`` in float
+    when the caller already has it (the last pricing round of an optimal
+    float solve); otherwise it is computed here.
     """
     G = problem.group
     vals = _embed(problem, np.asarray(y, dtype=float))
-    fhat = _axis_transform(vals, G.moduli, False).real
+    if fhat is None:
+        fhat = _axis_transform(vals, G.moduli, False).real
     s = max(0.0, -float(fhat.min()))
     if s > 0.0:
         vals = vals / (1.0 + s)
@@ -477,9 +488,12 @@ def solve_lp(problem: LPProblem, mode: str = "float",
     w = problem.orbit_sizes.astype(float)
     tol = tolerances.feasibility
     offered = np.zeros(problem.n_rows, dtype=bool)
+    # the multipliers of the last pricing round and their transform
+    priced = {}
 
     def price(pi):
         fhat = _axis_transform(_embed(problem, pi), G.moduli, False).real
+        priced.update(pi=pi, fhat=fhat)
         rc = fhat[problem.row_index]
         # violated rows not offered yet, by (rc, r): a stable sort of the
         # ascending candidate indices breaks rc ties by the lower row
@@ -517,7 +531,10 @@ def solve_lp(problem: LPProblem, mode: str = "float",
             diag["exact_check"] = f"failed: {e}"
     lam = _certificate_from_weights(problem, weights, exact_value is not None)
     upper = verify_dual_certificate(problem, lam, tolerances)
-    f, primal = _mixed_witness(problem, pi)
+    # an optimal float solve stops on the multipliers its last pricing
+    # round transformed, and the witness reuses that transform
+    f, primal = _mixed_witness(problem, pi,
+                               priced.get("fhat") if pi is priced.get("pi") else None)
     # a proven basis makes embed(pi) an exact witness: its transform is
     # >= 0 and its ratio 1 + pi . w = 1 + sum(xB) is the exact value, so
     # only the float copy f carries rounding, not the bracket

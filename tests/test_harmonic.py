@@ -6,6 +6,7 @@ the randomized agreements live in the property suites.
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -165,7 +166,55 @@ def _dense_axis_product(arr, moduli, conjugate):
     return out.reshape(-1)
 
 
+def _axis_transform_by_take_and_stack(arr, moduli, conjugate):
+    """The transform as it was before the rotating buffer: order-2 axes
+    by take and stack, the others by tensordot and moveaxis."""
+    out = np.array(arr).reshape(moduli if moduli else (1,))
+    for axis, n in enumerate(moduli):
+        if n == 1:
+            continue
+        if n == 2:
+            a, b = out.take(0, axis), out.take(1, axis)
+            out = np.stack((a + b, a - b), axis=axis)
+            continue
+        if out.dtype == object:
+            raise ValueError(f"exact transform needs every modulus in {{1, 2}}, got {n}")
+        W = _dft_matrix(n)
+        if conjugate:
+            W = W.conj()
+        out = np.moveaxis(np.tensordot(W, out.astype(complex, copy=False), axes=(1, axis)),
+                          0, axis)
+    return out.reshape(-1)
+
+
+def _reference_cases(rng):
+    """(moduli, values): ranks 0 to 12 over moduli 1 to 6 (order at most
+    4096), the benchmark's shapes, and float, int and Fraction values
+    with signed zeros among them."""
+    shapes = [(2,) * 12, (2,) * 6 + (3,) * 4, (2, 2, 3, 3, 4, 4)]
+    for rank in range(13):
+        moduli = []
+        for _ in range(rank):
+            m = rng.randint(1, 6)
+            moduli.append(m if math.prod(moduli) * m <= 4096 else 1)
+        shapes.append(tuple(moduli))
+    shapes += [tuple(rng.choice([1, 2]) for _ in range(rng.randint(0, 12)))
+               for _ in range(6)]
+    for moduli in shapes:
+        order = math.prod(moduli)
+        yield moduli, np.array([rng.choice((rng.uniform(-3, 3), 0.0, -0.0))
+                                for _ in range(order)])
+        yield moduli, np.array([rng.randint(-9, 9) for _ in range(order)])
+        if set(moduli) <= {1, 2} and order <= 256:
+            yield moduli, np.array([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                    for _ in range(order)], dtype=object)
+
+
 def test_axis_transform_matches_dense_product_bit_for_bit():
+    """Float inputs against every factor as a dense complex product (up
+    to the sign of zero), and float, int and Fraction inputs against the
+    take-and-stack transform byte for byte, signed zeros and dtype
+    included. The caller's array is never written to."""
     rng = random.Random(90206)
     for case in range(300):
         moduli = tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 5)))
@@ -179,6 +228,25 @@ def test_axis_transform_matches_dense_product_bit_for_bit():
                 f"case {case}: {moduli} conjugate={conjugate}"
             if all(m <= 2 for m in moduli):
                 assert got.dtype == float
+    fractions = 0
+    for moduli, vals in _reference_cases(random.Random(90208)):
+        before = vals.copy()
+        vals.flags.writeable = False
+        for conjugate in (False, True):
+            got = _axis_transform(vals, moduli, conjugate)
+            want = _axis_transform_by_take_and_stack(vals, moduli, conjugate)
+            assert got.dtype == want.dtype and got.shape == want.shape, moduli
+            if got.dtype == object:
+                fractions += 1
+                assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
+            else:
+                assert got.tobytes() == want.tobytes(), \
+                    f"{moduli} {vals.dtype} conjugate={conjugate}"
+            assert got is not vals and not np.shares_memory(got, vals)
+        assert [(type(v), v) for v in vals.tolist()] == \
+            [(type(v), v) for v in before.tolist()]
+        assert vals.tobytes() == before.tobytes() or vals.dtype == object
+    assert fractions >= 10
 
 
 def test_fraction_transform_is_the_sign_sum():

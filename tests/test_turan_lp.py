@@ -745,10 +745,19 @@ def test_batched_rows_stack_the_single_rows():
     assert long_orbits >= 10, "too few orbits of 9 pairs on order-3 factors"
 
 
-def _spread_per_pair(problem, weights, exact):
-    """The certificate spread with one add per character pair of a row."""
-    from turanlab.turan_lp import _fold_box_weight
+def _fold_per_pair(problem, lam, q, mu, sign):
+    """Box weight mu of pair q folded alone: one pass over every
+    character pair, as the certificate did before box runs folded at
+    once."""
+    re = problem._cos(problem.dual_coords @ problem.phase_x[q])
+    if lam.dtype == object:
+        re = re.astype(int)
+    lam += (mu / problem.group.order) * problem.dual_sizes * (1 - sign * re)
 
+
+def _spread_per_pair(problem, weights, exact):
+    """The certificate spread with one add per character pair of a row
+    and one fold per pair of a box orbit."""
     p = problem.n_vars
     if exact:
         lam = np.array([Fraction(0)] * len(problem.dual_index), dtype=object)
@@ -766,9 +775,8 @@ def _spread_per_pair(problem, weights, exact):
         o = cid % p
         size = int(problem.orbit_sizes[o])
         for q in problem.orbit_pairs(o):
-            _fold_box_weight(problem, lam, q,
-                             mu * int(problem.sizes[q]) / size,
-                             1 if cid < p else -1)
+            _fold_per_pair(problem, lam, q, mu * int(problem.sizes[q]) / size,
+                           1 if cid < p else -1)
     return lam
 
 
@@ -813,6 +821,117 @@ def test_row_spread_matches_the_per_pair_loop():
             assert got.tobytes() == want.tobytes(), f"case {case}: {G.moduli}"
     assert interleaved >= 10, "too few box columns between row runs"
     assert fractions >= 10, "too few cases with Fraction weights"
+
+
+def test_box_fold_matches_the_per_pair_loop():
+    """Runs of box columns folded at once give the bits of one fold per
+    pair, in float and in Fractions: runs of several box columns between
+    runs of character columns, and box orbits of several pairs."""
+    from turanlab.turan_lp import _certificate_from_weights
+
+    rng = random.Random(90418)
+    shapes = [[2] * k for k in range(3, 8)] + [[3] * 4, [3, 3, 3, 2], [4] * 3]
+    box_runs = multi_pair = fractions = 0
+    for case in range(60):
+        G = make_group(rng.choice(shapes))
+        prob = build_lp_problem(G, _orbit_union_domain(rng, G,
+                                                       rng.randint(2, 10)))
+        p = prob.n_vars
+        if p == 0:
+            continue
+        exact = set(G.moduli) == {2} and case % 2 == 0
+        fractions += exact
+        ids = (rng.sample(range(2 * p), min(2 * p, rng.randint(2, 8)))
+               + rng.sample(range(2 * p, 2 * p + prob.n_rows),
+                            min(prob.n_rows, 4)))
+        rng.shuffle(ids)
+        kinds = "".join("r" if cid >= 2 * p else "b" for cid in ids)
+        box_runs += "rbbr" in kinds or "rbbbr" in kinds
+        multi_pair += sum(len(prob.orbit_pairs(cid % p)) > 1
+                          for cid in ids if cid < 2 * p)
+        weights = {}
+        for cid in ids:
+            if rng.random() < 0.1:
+                weights[cid] = 0
+            elif exact:
+                weights[cid] = Fraction(rng.randint(1, 99), rng.randint(1, 99))
+            else:
+                weights[cid] = rng.random() * 10 ** rng.randint(-3, 3)
+        got = _certificate_from_weights(prob, weights, exact)
+        want = _spread_per_pair(prob, weights, exact)
+        assert got.dtype == want.dtype
+        if exact:
+            assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
+        else:
+            assert got.tobytes() == want.tobytes(), f"case {case}: {G.moduli}"
+    assert box_runs >= 10, "too few runs of box columns between row runs"
+    assert multi_pair >= 10, "too few box orbits of several pairs"
+    assert fractions >= 10, "too few cases with Fraction weights"
+
+
+def _count_transforms(monkeypatch):
+    """Count the whole-group transforms of turan_lp and keep the last
+    simplex result; returns (transform inputs, simplex results)."""
+    from turanlab import turan_lp
+
+    inputs, results = [], []
+    transform, solve = turan_lp._axis_transform, turan_lp.solve_column_lp
+
+    def counting(arr, moduli, conjugate):
+        inputs.append(np.array(arr))
+        return transform(arr, moduli, conjugate)
+
+    def keeping(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(turan_lp, "_axis_transform", counting)
+    monkeypatch.setattr(turan_lp, "solve_column_lp", keeping)
+    return inputs, results
+
+
+@pytest.mark.parametrize("moduli", [[2] * 6, [3, 3, 2], [4, 4]])
+def test_optimal_float_solve_reuses_its_last_pricing_transform(monkeypatch,
+                                                              moduli):
+    """An optimal float solve transforms once per pricing round and once
+    for its certificate: the witness reuses the last round's transform,
+    and equals the witness projected afresh from the final multipliers."""
+    from turanlab import turan_lp
+
+    G = make_group(moduli)
+    dom = _random_domain(random.Random(90419), G, 6)
+    inputs, results = _count_transforms(monkeypatch)
+    sol = turan_constant(G, dom)
+    assert sol.status == "optimal"
+    assert len(inputs) == sol.diagnostics["pricing_rounds"] + 1
+    f, _primal = turan_lp._mixed_witness(sol.problem, results[-1].pi)
+    assert f.values.tobytes() == sol.f.values.tobytes()
+
+
+def test_exact_and_budget_solves_transform_their_own_witness(monkeypatch):
+    """A proven exact basis replaces the multipliers, and a solve cut at
+    the pivot cap stops on multipliers it never priced: both compute the
+    witness transform themselves, from those multipliers."""
+    from turanlab import simplex, turan_lp
+
+    G, dom = _hh_domain(6)
+    inputs, results = _count_transforms(monkeypatch)
+    sol = turan_constant(G, dom, mode="exact-rational")
+    assert sol.status == "optimal" and sol.exact_value is not None
+    # pricing rounds, the exact basis, the certificate and the witness
+    assert len(inputs) == sol.diagnostics["pricing_rounds"] + 3
+    pi = turan_lp._exact_basis(sol.problem, results[-1].basis)[2]
+    f, _primal = turan_lp._mixed_witness(sol.problem, pi)
+    assert f.values.tobytes() == sol.f.values.tobytes()
+
+    monkeypatch.setattr(simplex, "LP_PIVOT_CAP", 3)
+    del inputs[:], results[:]
+    G = make_group([2] * 7)
+    sol = turan_constant(G, _random_domain(random.Random(90420), G, 20))
+    assert sol.status == "budget-exceeded"
+    assert len(inputs) == sol.diagnostics["pricing_rounds"] + 2
+    f, _primal = turan_lp._mixed_witness(sol.problem, results[-1].pi)
+    assert f.values.tobytes() == sol.f.values.tobytes()
 
 
 def test_character_side_is_shared_per_group():
