@@ -213,6 +213,15 @@ def _rat_field(value, where: str) -> Fraction:
         raise SpecError(f"{where}: not a rational: {value!r}") from e
 
 
+def _checked(where: str, build, *args):
+    """``build(*args)``, whose ValueError rejects the value of problem
+    field ``where``: an input mistake."""
+    try:
+        return build(*args)
+    except ValueError as e:
+        raise SpecError(f"{where}: {e}") from e
+
+
 # ---------------------------------------------------------------------------
 # the turan subcommand
 
@@ -221,7 +230,7 @@ def _finite_group(doc):
     """The group, the domain and the mode of a finite-group problem."""
     if "moduli" not in doc:
         raise SpecError("finite-group problems need field 'moduli'")
-    group = make_group(doc["moduli"])
+    group = _checked("moduli", make_group, doc["moduli"])
     domain = symmetric_domain(group, _elements(doc["domain"], group.rank,
                                                "domain"))
     mode = doc.get("mode", "float")
@@ -275,10 +284,15 @@ def _elements(raw, rank: int, where: str) -> list:
 
 
 def _element_sets(hints: dict, key: str, rank: int) -> list[list]:
-    """Hint ``key`` read as a list of element lists."""
+    """Hint ``key`` read as a list of element lists. Only a ``K`` entry may
+    be empty: no generators give the trivial subgroup, while an empty
+    base set, packing or spectrum proves nothing."""
     raw = hints.get(key, [])
     if not isinstance(raw, list):
         raise SpecError(f"hint '{key}' must be a list of element lists")
+    for k, entry in enumerate(raw):
+        if entry == [] and key != "K":
+            raise SpecError(f"hints.{key}[{k}] must not be empty")
     return [_elements(entry, rank, f"hints.{key}[{k}]")
             for k, entry in enumerate(raw)]
 
@@ -310,9 +324,8 @@ def _run_lattice_z(doc, tol, budget):
         if not isinstance(raw, dict) or set(raw) != {"basis", "residues"}:
             raise SpecError("lattice-z hint 'Lambda' needs exactly the "
                             "fields basis and residues")
-        lam = periodic_set(d, raw["basis"],
-                           _elements(raw["residues"], d,
-                                     "hints.Lambda.residues"))
+        lam = _checked("hints.Lambda", periodic_set, d, raw["basis"],
+                       _elements(raw["residues"], d, "hints.Lambda.residues"))
         reports.append(density_bound_zd(domain, lam))
     if "H" in hints:
         reports.append(witness_zd(_elements(hints["H"], d, "hints.H"),
@@ -335,15 +348,16 @@ def _run_real_line(doc, tol, budget):
     hints = doc.get("hints", {})
     reports = [halving_bound(domain)]
     if "c" in hints:
-        reports.append(lattice_certificate(
-            domain, _rat_field(hints["c"], "hints.c")))
+        reports.append(_checked("hints.c", lattice_certificate, domain,
+                                _rat_field(hints["c"], "hints.c")))
     for i, t in enumerate(hints.get("tents", [])):
         if not isinstance(t, dict) or set(t) != {"c", "D"}:
             raise SpecError(f"hints.tents[{i}] needs exactly the fields "
                             "c and D")
-        train = tent_train(_rat_field(t["c"], f"hints.tents[{i}].c"),
-                           [_rat_field(x, f"hints.tents[{i}].D")
-                            for x in t["D"]])
+        train = _checked(f"hints.tents[{i}]", tent_train,
+                         _rat_field(t["c"], f"hints.tents[{i}].c"),
+                         [_rat_field(x, f"hints.tents[{i}].D")
+                          for x in t["D"]])
         reports.append(witness_in_domain(train, domain))
     return rank_reports(reports), False
 

@@ -19,9 +19,9 @@ with an explicit projection / isomorphism.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -82,7 +82,8 @@ class FiniteAbelianGroup:
         return tuple(reversed(coords))
 
     def elements(self) -> list[Element]:
-        return _elements_of(self.moduli)
+        """Every element, in flat index order; a fresh list per call."""
+        return list(itertools.product(*map(range, self.moduli)))
 
     def element_order(self, x: Element) -> int:
         o = 1
@@ -105,14 +106,6 @@ class FiniteAbelianGroup:
 def _element_coords(x):
     """x as a coordinate sequence: a bare integer is a one-coordinate element."""
     return (x,) if isinstance(x, (int, np.integer)) else x
-
-
-@lru_cache(maxsize=128)
-def _elements_of(moduli: tuple[int, ...]) -> list[Element]:
-    elems: list[Element] = [()]
-    for m in moduli:
-        elems = [e + (r,) for e in elems for r in range(m)]
-    return elems
 
 
 def digits(moduli: tuple[int, ...], idx) -> np.ndarray:

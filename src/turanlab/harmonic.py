@@ -56,8 +56,11 @@ def _root_table(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _dft_matrix(n: int) -> np.ndarray:
+    """exp(-2 pi i jk / n), read-only like ``_root_table``."""
     r = np.arange(n)
-    return _root_table(n)[np.outer(r, r) % n]
+    W = _root_table(n)[np.outer(r, r) % n]
+    W.flags.writeable = False
+    return W
 
 
 @dataclass

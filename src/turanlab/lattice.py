@@ -111,10 +111,11 @@ def default_m_schedule(domain: LatticeDomain) -> list[int]:
     """Moduli used by upper_bound_z when none are given (d=1 shapes).
 
     Intervals [-N,N] get the single modulus 10(N+1). The dispersed
-    domains {0,+-1,+-N} get three multiples of 2(N+1) for odd N (even
-    moduli past 2N) and of 2(2n+1) for N=2n, which puts the known
-    binding frequency on the grid. Anything else gets the first three
-    even moduli past the diameter.
+    domains {0,+-1,+-N} with N=2n get the first three multiples of
+    2(2n+1), which puts the known binding frequency on the grid.
+    Anything else, {0,+-1,+-N} with odd N included, gets b, b+2 and b+4
+    with b the least multiple of 4 past the diameter 2N: 2N+2, 2N+4 and
+    2N+6 for odd N.
     """
     if domain.d != 1:
         raise ValueError("schedules are defined for d=1 only")
@@ -123,10 +124,7 @@ def default_m_schedule(domain: LatticeDomain) -> list[int]:
     # xs is symmetric with largest point N, so 2N + 1 points fill [-N, N]
     if len(xs) == 2 * N + 1:
         return [10 * (N + 1)]
-    if N >= 2 and xs == {0, 1, -1, N, -N}:
-        if N % 2 == 1:
-            base = 2 * N + 2
-            return [base, base + 2, base + 4]
+    if N >= 2 and N % 2 == 0 and xs == {0, 1, -1, N, -N}:
         period = 2 * (N + 1)
         return [period, 2 * period, 3 * period]
     base = 2 * N + 2 if N % 2 == 1 else 2 * N + 4
@@ -227,6 +225,8 @@ class PeriodicSet:
             raise ValueError("basis must be a d x d integer matrix")
         if self.det == 0:
             raise ValueError("basis is singular")
+        if not self.residues:
+            raise ValueError("residues must be nonempty")
         if len(set(self.residues)) != len(self.residues):
             raise ValueError("residues repeat")
         for i, r1 in enumerate(self.residues):

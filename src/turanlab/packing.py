@@ -96,6 +96,8 @@ def packing_bound(group: FiniteAbelianGroup, domain: SymmetricDomain,
     """Upper bound |G|/|Lambda| from a verified packing set."""
     raw = lam.elements if isinstance(lam, PackingSet) else lam
     elems = [group.canon(x) for x in raw]
+    if not elems:
+        raise CertificateInvalidError("packing set is empty")
     if len(set(elems)) != len(elems):
         raise CertificateInvalidError("packing set has repeated elements")
     ok, pair = check_packing_set(group, domain, elems)
@@ -269,6 +271,8 @@ def tiling_bound(group: FiniteAbelianGroup, domain: SymmetricDomain,
     """
     Hset = {group.canon(x) for x in H}
     Lset = {group.canon(x) for x in lam}
+    if not Hset or not Lset:
+        raise CertificateInvalidError("tile and translates must be nonempty")
     diff = difference_set(group, Hset)
     outside = [x for x in domain.elements if x not in diff]
     if outside:

@@ -1,27 +1,27 @@
-"""Dense revised simplex on an equality-form LP with lazy columns.
+"""Dense revised simplex on a unit-cost equality-form LP with lazy columns.
 
-Solves   min  sum_j cost_j lam_j
+Solves   min  sum_j lam_j
          s.t. sum_j lam_j col_j = w,   lam >= 0,
 
-over the box columns +e_q (id q) and -e_q (id p + q), all of cost 1,
-which the solver adds itself pair by pair, then the caller's initial
-columns, and further columns that arrive on demand from a pricing
-callback. The start basis takes +e_q where w_q >= 0 and -e_q otherwise,
-so it is diagonal and feasible. The basis inverse is maintained
-explicitly; it is a p x p matrix where p is the number of equality rows,
-so the numerics stay well conditioned regardless of how many columns the
-caller generates.
+every column at cost 1, over the box columns +e_q (id q) and -e_q
+(id p + q), which the solver adds itself pair by pair, then the
+caller's initial columns, and further columns that arrive on demand
+from a pricing callback. The start basis takes +e_q where w_q >= 0 and
+-e_q otherwise, so it is diagonal and feasible. The basis inverse is
+maintained explicitly; it is a p x p matrix where p is the number of
+equality rows, so the numerics stay well conditioned regardless of how
+many columns the caller generates.
 
 All state lives in float numpy arrays:
-    working set  a preallocated p x capacity matrix, with ``ids`` and
-                 ``costs`` arrays beside it. The first n slots are in use
-                 and the capacity doubles when they fill up, so adding a
-                 column copies only that column; the loop reads the
-                 matrix and the costs as views of the used slots.
-    basis        the basic column ids, their working-set slots and their
-                 costs ``cB``, all overwritten at the leaving position on
-                 each pivot. The multipliers are ``cB @ Binv``; the
-                 objective is the left-to-right running sum of ``cB * xB``.
+    working set  a preallocated p x capacity matrix with an ``ids``
+                 array beside it. The first n slots are in use and the
+                 capacity doubles when they fill up, so adding a column
+                 copies only that column; the loop reads the matrix as a
+                 view of the used slots.
+    basis        the basic column ids and their working-set slots, both
+                 overwritten at the leaving position on each pivot. The
+                 multipliers are ``ones @ Binv``; the objective is the
+                 left-to-right running sum of ``xB``.
 
 Pivoting: Dantzig entering with a largest-pivot tie-break; Bland's
 anti-cycling rule (lowest column id) takes over after a stall of
@@ -33,7 +33,7 @@ a rounded zero and make the basis singular.
 
 Drift: the product-form updates of ``Binv`` and ``xB`` accumulate
 rounding. Before each pricing round that follows a pivot, the residuals
-max|B xB - w| and max|pi B - cB| are measured against the basic
+max|B xB - w| and max|pi B - 1| are measured against the basic
 columns; when either exceeds ``entering_tol``, ``Binv`` is re-inverted
 and ``xB`` recomputed from them. A singular basis raises
 ``SingularBasisError``. The final basis ids are returned, so a caller
@@ -41,9 +41,10 @@ can recompute that basis in exact arithmetic.
 
 Termination statuses:
     optimal          pricing found nothing below tolerance
-    infeasible       an entering column had no positive basis direction
-                     (the minimization is unbounded, so the problem this
-                     is dual to has no feasible point)
+    infeasible       an entering column had no basis direction above
+                     ``PIVOT_TOL``. With unit costs the minimum is never
+                     unbounded (lam >= 0 gives sum lam >= 0), so this
+                     only reports a numerically unusable direction
     budget-exceeded  ``LP_PIVOT_CAP`` pivots done; the current iterate is
                      still feasible
 """
@@ -61,8 +62,8 @@ PIVOT_TOL = 1e-9
 # pivots without progress before Bland's rule takes over
 STALL_LIMIT = 300
 
-# a priced column: (column id, coefficient vector, cost)
-Column = tuple[int, Sequence, float]
+# a priced column, of cost 1: (column id, coefficient vector)
+Column = tuple[int, Sequence]
 
 
 @dataclass
@@ -77,11 +78,11 @@ class ColumnLPResult:
 
 
 class _Working:
-    """Growing working set of columns (id, vector, cost).
+    """Growing working set of columns (id, vector).
 
     Slots ``0 .. n-1`` of the preallocated arrays hold the columns in
     arrival order; a full set doubles its capacity. The set starts with
-    the box columns +e_q (id q) and -e_q (id p + q), cost 1, pair by pair.
+    the box columns +e_q (id q) and -e_q (id p + q), pair by pair.
     """
 
     def __init__(self, p: int, capacity: int):
@@ -92,19 +93,16 @@ class _Working:
         self._mat[q, 2 * q + 1] = -1.0
         self._ids = np.empty(capacity, dtype=np.int64)
         self._ids[:2 * p] = np.column_stack((q, p + q)).ravel()
-        self._costs = np.ones(capacity)
         self.pos_of = dict(zip(self._ids[:2 * p].tolist(), range(2 * p)))
 
-    def add(self, cid: int, vec, cost):
+    def add(self, cid: int, vec):
         if cid in self.pos_of:
             return
         n = self.n
         if n == len(self._ids):
-            self._mat, self._ids, self._costs = (
-                self._grown(a) for a in (self._mat, self._ids, self._costs))
+            self._mat, self._ids = self._grown(self._mat), self._grown(self._ids)
         self._mat[:, n] = vec
         self._ids[n] = cid
-        self._costs[n] = cost
         self.pos_of[cid] = n
         self.n = n + 1
 
@@ -123,19 +121,14 @@ class _Working:
     def ids(self) -> np.ndarray:
         return self._ids[:self.n]
 
-    @property
-    def costs(self) -> np.ndarray:
-        return self._costs[:self.n]
-
 
 class SingularBasisError(RuntimeError):
     """The float basis inverse degraded to non-finite entries."""
 
 
 def _clean(xB: np.ndarray) -> None:
-    """Snap rounding-level basic values to zero and clip negatives."""
-    xB[np.abs(xB) < 1e-13] = 0.0
-    np.maximum(xB, 0.0, out=xB)
+    """Zero the negative and rounding-level basic values."""
+    xB[xB < 1e-13] = 0.0
 
 
 def solve_column_lp(
@@ -153,8 +146,8 @@ def solve_column_lp(
     p = len(w)
 
     work = _Working(p, max(16, 2 * (2 * p + len(initial_columns))))
-    for cid, vec, cost in initial_columns:
-        work.add(cid, vec, cost)
+    for cid, vec in initial_columns:
+        work.add(cid, vec)
 
     # start basis: for each row q the box column of sign sgn(w_q)
     q = np.arange(p)
@@ -162,7 +155,8 @@ def solve_column_lp(
     sign = np.where(neg, -1.0, 1.0)
     basis = np.where(neg, p + q, q)
     slot = 2 * q + neg
-    cB = np.ones(p)
+    # the multipliers are ones @ Binv: Binv.sum(axis=0) adds in another order
+    ones = np.ones(p)
     Binv = np.diag(sign)
     xB = w * sign
 
@@ -175,8 +169,8 @@ def solve_column_lp(
     checked = True  # Binv checked for drift since the last pivot
 
     def objective():
-        # the running sum adds the products left to right, like a loop
-        return np.cumsum(cB * xB)[-1] if p else 0.0
+        # the running sum adds the basic values left to right, like a loop
+        return np.cumsum(xB)[-1] if p else 0.0
 
     def weights():
         return {b: x for b, x in zip(basis.tolist(), xB) if x != 0.0}
@@ -190,8 +184,8 @@ def solve_column_lp(
                               diagnostics(), basis.tolist())
 
     while True:
-        pi = cB @ Binv
-        rc = work.costs - pi @ work.matrix()
+        pi = ones @ Binv
+        rc = 1.0 - pi @ work.matrix()
         if bland:
             cand = (rc < -entering_tol).nonzero()[0]
             enter = int(cand[work.ids[cand].argmin()]) if len(cand) else -1
@@ -204,7 +198,7 @@ def solve_column_lp(
                 checked = True
                 B = work.matrix()[:, slot]
                 drift = max(np.abs(B @ xB - w).max(initial=0.0),
-                            np.abs(pi @ B - cB).max(initial=0.0))
+                            np.abs(pi @ B - 1.0).max(initial=0.0))
                 if drift > entering_tol:
                     try:
                         Binv = np.linalg.inv(B)
@@ -217,8 +211,8 @@ def solve_column_lp(
             fresh = price(pi)
             if not fresh:
                 return result("optimal")
-            for cid, vec, cost in fresh:
-                work.add(cid, vec, cost)
+            for cid, vec in fresh:
+                work.add(cid, vec)
             continue
 
         if pivots >= LP_PIVOT_CAP:
@@ -250,7 +244,6 @@ def solve_column_lp(
         Binv -= np.multiply.outer(d, Binv[leave])
         basis[leave] = work.ids[enter]
         slot[leave] = enter
-        cB[leave] = work.costs[enter]
         pivots += 1
         if bland:
             bland_pivots += 1

@@ -164,6 +164,8 @@ def find_spectrum(group: FiniteAbelianGroup, H,
     """
     Hc = _canon_set(group, H)
     h = len(Hc)
+    if not h:
+        raise ValueError("base set must be nonempty")
     zeros = np.flatnonzero(_transform_zeros(group, Hc)[1])
 
     if h == 1:

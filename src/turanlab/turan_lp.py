@@ -14,7 +14,7 @@ symmetric f is constant on the orbits of characters: one linear
 constraint per character orbit, and the whole problem is a linear
 program. With no swap fixing Omega the orbits are the negation pairs.
 
-The LP is attacked through its dual, a minimum-cost column program:
+The LP is attacked through its dual, a unit-cost column program:
 box columns encode |f(x)| <= f(0) (valid for every positive definite f)
 and character columns are generated lazily, priced by one transform of
 the current iterate per round. Every feasible point of the column
@@ -65,14 +65,14 @@ class LPProblem:
     (``groups.orbit_labels``).
 
     Variables: one per orbit O of ``domain`` minus 0, weight |O|. The
-    negation pairs of the domain (``pairs``, representative and pair
-    size) are grouped by orbit, in ascending label order and ascending
-    within an orbit; orbit o holds the pairs from ``orbit_start[o]`` to
-    the next start. Rows: one per orbit of characters, the trivial one
-    first, then by ascending label. Row r states
-    1 + sum_o a[r, o] y_o >= 0, which is f(0) = 1 substituted out; its
-    entry for orbit o sums Re gamma(x) over the elements of o for the
-    row's least character gamma.
+    negation pairs of the domain (flat index ``pair_index`` of the
+    representative, pair size ``sizes``) are grouped by orbit, in
+    ascending label order and ascending within an orbit; orbit o holds
+    the pairs from ``orbit_start[o]`` to the next start. Rows: one per
+    orbit of characters, the trivial one first, then by ascending label.
+    Row r states 1 + sum_o a[r, o] y_o >= 0, which is f(0) = 1
+    substituted out; its entry for orbit o sums Re gamma(x) over the
+    elements of o for the row's least character gamma.
 
     Rows are evaluated from integer phases, never from a transform: with
     N = lcm(moduli) and the pair representatives' coordinates scaled to N
@@ -102,7 +102,6 @@ class LPProblem:
 
     group: FiniteAbelianGroup
     domain: SymmetricDomain
-    pairs: list[tuple[Element, int]]
     sizes: np.ndarray = field(kw_only=True, repr=False)
     phase_x: np.ndarray = field(kw_only=True, repr=False)
     pair_index: np.ndarray = field(kw_only=True, repr=False)
@@ -132,7 +131,7 @@ class LPProblem:
     def pair_orbit(self) -> np.ndarray:
         """The variable orbit of each pair."""
         return np.repeat(np.arange(self.n_vars),
-                         np.diff(self.orbit_start, append=len(self.pairs)))
+                         np.diff(self.orbit_start, append=len(self.sizes)))
 
     @cached_property
     def row_rep(self) -> np.ndarray:
@@ -152,7 +151,7 @@ class LPProblem:
     def orbit_pairs(self, o: int) -> range:
         """The pairs of variable orbit o."""
         last = o + 1 == self.n_vars
-        stop = len(self.pairs) if last else self.orbit_start[o + 1]
+        stop = len(self.sizes) if last else self.orbit_start[o + 1]
         return range(self.orbit_start[o], stop)
 
     def row_pairs(self, r: int) -> np.ndarray:
@@ -236,7 +235,6 @@ def build_lp_problem(group: FiniteAbelianGroup,
     scale = np.array([N // m for m in mods], dtype=np.int64)
     return LPProblem(
         group, domain,
-        [(group.element(i), s) for i, s in zip(reps.tolist(), sizes.tolist())],
         sizes=sizes,
         phase_x=pair_coords * scale,
         pair_index=reps,
@@ -253,8 +251,8 @@ class LPSolution:
     status ``budget-exceeded``: value is still a valid upper bound and f a
     valid witness, only the two need not meet; a group over
     ``LP_GROUP_ORDER_CAP`` is not solved, and f is None.
-    status ``infeasible``: the simplex found no feasible point; value/f/dual
-    are absent.
+    status ``infeasible``: no basis direction of an entering column cleared
+    the simplex's pivot tolerance; value/f/dual are absent.
     ``dual``: the certificate, one weight per character pair of
     ``problem.dual_index``.
     ``exact_value``: in exact mode, the optimum proven in Fractions from
@@ -500,8 +498,7 @@ def solve_lp(problem: LPProblem, mode: str = "float",
         cand = np.flatnonzero((rc < -tol) & ~offered)
         take = cand[np.argsort(rc[cand], kind="stable")][:32]
         offered[take] = True
-        return [(2 * p + r, a, 1.0)
-                for r, a in zip(take.tolist(), -problem.row(take))]
+        return list(zip((2 * p + take).tolist(), -problem.row(take)))
 
     # the simplex holds the box columns itself
     try:

@@ -413,6 +413,50 @@ def test_exit_code_residue_of_wrong_rank(tmp_path, capsys):
     assert "hints.Lambda.residues[1]" in err
 
 
+_Z8 = {"setting": "finite-group", "moduli": [8], "domain": [0, 1, 7]}
+_INTERVAL = {"setting": "lattice-z", "domain": [0, 1, -1]}
+_LINE = {"setting": "real-line", "domain": [[-1, 1]]}
+
+
+@pytest.mark.parametrize("doc, argv, message", [
+    (dict(_Z8, hints={"Lambda": [[]]}), ("turan",), "hints.Lambda[0]"),
+    (dict(_Z8, hints={"H": [[0, 1]], "T": [[]]}), ("turan",), "hints.T[0]"),
+    (dict(_Z8, hints={"H": [[]], "Lambda": [[0, 2]]}), ("turan",),
+     "hints.H[0]"),
+    (dict(_Z8, hints={"H": [[]]}), ("turan",), "hints.H[0]"),
+    (dict(_Z8, hints={"H": [[]]}), ("search", "--what", "spectrum"),
+     "hints.H[0]"),
+    (dict(_Z8, moduli=[0]), ("turan",), "moduli"),
+    (dict(_INTERVAL, hints={"Lambda": {"basis": [[2]], "residues": []}}),
+     ("turan",), "hints.Lambda"),
+    (dict(_INTERVAL, hints={"Lambda": {"basis": [[0]], "residues": [0]}}),
+     ("turan",), "hints.Lambda"),
+    (dict(_LINE, hints={"tents": [{"c": 1, "D": []}]}), ("turan",),
+     "hints.tents[0]"),
+    (dict(_LINE, hints={"tents": [{"c": 0, "D": [0]}]}), ("turan",),
+     "hints.tents[0]"),
+    (dict(_LINE, hints={"c": 0}), ("turan",), "hints.c"),
+], ids=["empty-Lambda", "empty-T", "empty-H-with-Lambda", "empty-H",
+        "empty-H-search", "zero-modulus", "no-residues", "singular-basis",
+        "tent-without-shifts", "tent-width-zero", "lattice-step-zero"])
+def test_exit_code_malformed_problem_value(tmp_path, capsys, doc, argv,
+                                           message):
+    # values the library rejects are input mistakes naming their field,
+    # not internal errors (and an empty base set is no spectrum search)
+    code, out, err = run(capsys, argv[0], problem(tmp_path, doc), *argv[1:])
+    assert code == 1 and out == ""
+    assert message in err and "internal error" not in err
+
+
+def test_trivial_subgroup_hint_stays_valid(tmp_path, capsys):
+    # no generators give the trivial subgroup, a valid K
+    code, out, _ = run(capsys, "turan",
+                       problem(tmp_path, dict(_Z8, hints={"K": [[]]})))
+    assert code == 0
+    methods = [b["method"] for b in json.loads(out)["bounds"]]
+    assert "subgroup" in methods and "quotient" in methods
+
+
 def test_tolerances_field(tmp_path, capsys):
     doc = dict(EX_Z8, tolerances={"feasibility": 1e-9, "reporting": 1e-6})
     code, out, _ = run(capsys, "turan", problem(tmp_path, doc))

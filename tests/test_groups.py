@@ -50,6 +50,16 @@ def test_arithmetic_hand_cases():
     assert H.canon((7, -3)) == (1, 1)
 
 
+def test_elements_are_a_fresh_list():
+    # a caller that changes the list it got must not change the group
+    e = make_group([4]).elements()
+    e.reverse()
+    e.pop()
+    assert make_group([4]).elements() == [(0,), (1,), (2,), (3,)]
+    assert is_automorphism(make_group([4]), [(1,)])
+    assert make_group([]).elements() == [()]
+
+
 def test_index_element_round_trip():
     rng = random.Random(90101)
     for _ in range(200):

@@ -157,6 +157,14 @@ def test_dft_matrix_is_the_comprehension_bit_for_bit(n):
     assert got.tobytes() == want.tobytes()
 
 
+def test_dft_matrix_is_read_only():
+    # every transform on a factor of order n shares the cached matrix
+    W = _dft_matrix(5)
+    with pytest.raises(ValueError, match="read-only"):
+        W[0, 0] = 0
+    assert _dft_matrix(5)[0, 0] == 1
+
+
 def _dense_axis_product(arr, moduli, conjugate):
     """Every factor, order 2 included, as a dense complex matrix product."""
     out = arr.astype(complex).reshape(moduli if moduli else (1,))

@@ -209,6 +209,12 @@ def test_periodic_set_validation():
         periodic_set(1, [[4]], [(0,), (0,)])
 
 
+def test_periodic_set_needs_a_residue():
+    # no residues would be density 0, and the bound 1/density undefined
+    with pytest.raises(ValueError, match="nonempty"):
+        periodic_set(1, [[2]], [])
+
+
 def test_check_packing_periodic_paper_case():
     H = [(0, 0), (1, 0), (0, 1)]
     dom = lattice_domain(2, [tuple(a - b for a, b in zip(x, y))

@@ -191,6 +191,21 @@ def test_packing_bound_rejections():
         packing_bound(G, dom, [0, 1])
 
 
+def test_empty_sets_are_rejected_and_skipped():
+    G = make_group([8])
+    dom = symmetric_domain(G, [0, 1, 3, 4, 5, 7])
+    with pytest.raises(CertificateInvalidError, match="empty"):
+        packing_bound(G, dom, [])
+    for H, lam in (([], [0, 2]), ([0, 1, 4, 5], [])):
+        with pytest.raises(CertificateInvalidError, match="nonempty"):
+            tiling_bound(G, dom, H, lam)
+    # an empty hint fails its hypotheses like any other and is skipped
+    reports = tl.compare_bounds(G, dom, {"Lambda": [[]],
+                                         "H": [[0, 1, 4, 5]]})
+    methods = [r.method for r in reports]
+    assert methods.count("packing") == 1 and "tiling" not in methods
+
+
 def test_max_packing_matches_bitmask_oracle():
     rng = random.Random(90501)
     for case in range(60):

@@ -1,11 +1,13 @@
 """Column LP core against a brute-force vertex oracle.
 
-The solver minimizes sum cost_j lam_j subject to sum lam_j col_j = w,
-lam >= 0. Its optimum equals the dual maximum of w.y over the polytope
-col_j . y <= cost_j, and with the solver's box columns +-e_q of cost 1
-the dual region sits inside [-1, 1]^p, so the oracle can enumerate all
-p-subsets of constraints, solve each square system, and keep the best
-feasible vertex.
+Every column costs 1: the solver minimizes sum lam_j subject to
+sum lam_j col_j = w, lam >= 0. Its optimum equals the dual maximum of
+w.y over the polytope col_j . y <= 1, and with the solver's box columns
++-e_q the dual region sits inside [-1, 1]^p, so the oracle can
+enumerate all p-subsets of constraints, solve each square system, and
+keep the best feasible vertex. A random column with cost c is a column
+of cost 1 once its vector is divided by c, so the instances draw a
+vector and a positive scale per column.
 """
 from __future__ import annotations
 
@@ -29,8 +31,8 @@ def _unit_columns(p):
         plus[q] = 1.0
         minus = [0.0] * p
         minus[q] = -1.0
-        cols.append((q, plus, 1.0))
-        cols.append((p + q, minus, 1.0))
+        cols.append((q, plus))
+        cols.append((p + q, minus))
     return cols
 
 
@@ -57,18 +59,17 @@ def _solve_square(A, b):
 
 
 def _dual_vertex_oracle(w, columns):
-    """Best w.y over {y : col.y <= cost}, by enumerating vertices."""
+    """Best w.y over {y : col.y <= 1}, by enumerating vertices."""
     p = len(w)
     best = None
     for subset in itertools.combinations(range(len(columns)), p):
         A = [[Fraction(columns[i][1][q]) for q in range(p)] for i in subset]
-        b = [Fraction(columns[i][2]) for i in subset]
-        y = _solve_square(A, b)
+        y = _solve_square(A, [Fraction(1)] * p)
         if y is None:
             continue
         feasible = all(
-            sum(Fraction(vec[q]) * y[q] for q in range(p)) <= cost
-            for _cid, vec, cost in columns)
+            sum(Fraction(vec[q]) * y[q] for q in range(p)) <= 1
+            for _cid, vec in columns)
         if not feasible:
             continue
         val = sum(Fraction(wq) * yq for wq, yq in zip(w, y))
@@ -79,19 +80,16 @@ def _dual_vertex_oracle(w, columns):
 
 def _random_instance(rng, p, extra, exact):
     cols = []
-    for cid, vec, cost in _unit_columns(p):
-        if exact:
-            cols.append((cid, [Fraction(v) for v in vec], Fraction(1)))
-        else:
-            cols.append((cid, vec, cost))
+    for cid, vec in _unit_columns(p):
+        cols.append((cid, [Fraction(v) for v in vec] if exact else vec))
     for j in range(extra):
         if exact:
             vec = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(p)]
-            cost = Fraction(rng.randint(1, 12), rng.randint(1, 3))
+            scale = Fraction(rng.randint(1, 12), rng.randint(1, 3))
         else:
             vec = [rng.uniform(-3, 3) for _ in range(p)]
-            cost = rng.uniform(0.1, 4.0)
-        cols.append((100 + j, vec, cost))
+            scale = rng.uniform(0.1, 4.0)
+        cols.append((100 + j, [v / scale for v in vec]))
     if exact:
         w = [Fraction(rng.randint(-5, 5)) for _ in range(p)]
     else:
@@ -101,40 +99,38 @@ def _random_instance(rng, p, extra, exact):
 
 def _floats(w, columns):
     return (np.array([float(v) for v in w]),
-            [(cid, [float(v) for v in vec], float(cost))
-             for cid, vec, cost in columns])
+            [(cid, [float(v) for v in vec]) for cid, vec in columns])
 
 
 def _certify_basis(w, columns, basis):
     """Recompute a final basis in Fractions, the way exact mode does: the
     basic weights must be nonnegative and the multipliers feasible for
     every column. Returns the exact objective."""
-    by_id = {cid: (vec, cost) for cid, vec, cost in columns}
-    cols = [[Fraction(v) for v in by_id[b][0]] for b in basis]
-    cB = [Fraction(by_id[b][1]) for b in basis]
+    by_id = dict(columns)
+    cols = [[Fraction(v) for v in by_id[b]] for b in basis]
     _det, x = solve_fractions(list(zip(*cols)), [[Fraction(v)] for v in w])
     assert x is not None, "final basis is singular"
-    _det, y = solve_fractions(cols, [[c] for c in cB])
+    _det, y = solve_fractions(cols, [[Fraction(1)]] * len(cols))
     x = [v for v, in x]
     y = [v for v, in y]
     assert all(v >= 0 for v in x), f"negative basic weight in {x}"
-    for cid, vec, cost in columns:
-        assert sum(Fraction(v) * yq for v, yq in zip(vec, y)) <= Fraction(cost), \
+    for cid, vec in columns:
+        assert sum(Fraction(v) * yq for v, yq in zip(vec, y)) <= 1, \
             f"column {cid} has negative reduced cost"
-    return sum(c * v for c, v in zip(cB, x))
+    return sum(x)
 
 
 def _check_primal(result: ColumnLPResult, w, columns, tol):
-    by_id = {cid: (vec, cost) for cid, vec, cost in columns}
+    by_id = dict(columns)
     p = len(w)
     combo = [0.0] * p
     obj = 0.0
     for cid, lam in result.weights.items():
         assert lam >= -tol if tol else lam >= 0
-        vec, cost = by_id[cid]
+        vec = by_id[cid]
         for q in range(p):
             combo[q] += lam * vec[q]
-        obj += lam * cost
+        obj += lam
     for q in range(p):
         assert abs(combo[q] - w[q]) <= max(tol, 1e-9)
     assert abs(obj - result.objective) <= max(tol, 1e-9)
@@ -153,8 +149,8 @@ def test_float_lps_match_vertex_oracle():
             f"case {case}: p={p}, solver {res.objective} oracle {float(want)}"
         _check_primal(res, w, cols, 1e-7)
         # dual feasibility of the returned multipliers
-        for _cid, vec, cost in cols:
-            assert sum(v * y for v, y in zip(vec, res.pi)) <= cost + 1e-7
+        for _cid, vec in cols:
+            assert sum(v * y for v, y in zip(vec, res.pi)) <= 1 + 1e-7
 
 
 def test_exact_lps_match_vertex_oracle():
@@ -183,11 +179,17 @@ def test_budget_exceeded_keeps_feasible_point(monkeypatch):
     _check_primal(res, w, cols, 1e-7)
 
 
-def test_unbounded_direction_reported_infeasible():
-    # a zero column with negative cost enters and never leaves
-    res = solve_column_lp(np.array([1.0]), [(100, [0.0], -1.0)],
-                          lambda pi: [])
+def test_direction_below_pivot_tol_reported_infeasible(monkeypatch):
+    # a unit-cost program is never unbounded, so infeasible means that no
+    # basis direction cleared PIVOT_TOL: from +e_0 (pi = 1) the column 2
+    # enters with reduced cost -1, and its direction 2 is below 5
+    import turanlab.simplex as simplex
+
+    monkeypatch.setattr(simplex, "PIVOT_TOL", 5.0)
+    res = solve_column_lp(np.array([1.0]), [(100, [2.0])], lambda pi: [])
     assert res.status == "infeasible"
+    assert res.objective is None and res.pi is None
+    assert res.diagnostics["entering"] == 100
 
 
 def test_start_basis_follows_the_signs_of_w():
@@ -206,26 +208,26 @@ def test_lazy_pricing_receives_multipliers():
     def price(pi):
         if not seen:
             seen.append(tuple(pi))
-            return [(200, [1.0, 1.0], 0.5)]
+            return [(200, [2.0, 2.0])]
         return []
 
     w = [1.0, 1.0]
     res = solve_column_lp(np.array(w), [], price)
     assert res.status == "optimal"
-    assert seen, "pricing callback never ran"
+    assert seen == [(1.0, 1.0)], "pricing callback never ran"
     assert res.objective == pytest.approx(0.5)
-    assert res.weights == {200: pytest.approx(1.0)}
+    assert res.weights == {200: pytest.approx(0.5)}
 
 
 def _circle_columns(k, exact):
-    """k unit-cost columns at rational points near the unit circle."""
+    """k columns at rational points near the unit circle."""
     num = Fraction if exact else float
     cols = []
     for j in range(k):
         a = 2 * math.pi * j / k
         vec = [num(Fraction(round(64 * math.cos(a)), 64)),
                num(Fraction(round(64 * math.sin(a)), 64))]
-        cols.append((100 + j, vec, num(1)))
+        cols.append((100 + j, vec))
     return cols
 
 
@@ -250,14 +252,14 @@ def test_working_set_grows_over_pricing_rounds(monkeypatch):
     offered = set()
 
     def price(pi):
-        viol = [(cost - sum(v * y for v, y in zip(vec, pi)), cid, vec, cost)
-                for cid, vec, cost in pool if cid not in offered]
+        viol = [(1 - sum(v * y for v, y in zip(vec, pi)), cid, vec)
+                for cid, vec in pool if cid not in offered]
         viol = [t for t in viol if t[0] < 0]
         if not viol:
             return []
-        _rc, cid, vec, cost = max(viol)
+        _rc, cid, vec = max(viol)
         offered.add(cid)
-        return [(cid, vec, cost)]
+        return [(cid, vec)]
 
     w = np.array([float(v) for v in w_exact])
     res = solve_column_lp(w, [], price)
@@ -273,25 +275,29 @@ def test_working_set_grows_over_pricing_rounds(monkeypatch):
 
 def test_bland_enters_lowest_id_among_negative_reduced_costs(monkeypatch):
     # w = 0 makes every pivot degenerate, so with STALL_LIMIT 1 the second
-    # pivot stalls and Bland's rule picks the third entering column. The
-    # columns (v, c) have ratios c/v of 1, 0.5, 0.25, 0.1 and -0.1, and
-    # rc = v (c/v - pi). Dantzig enters id 60 (rc -2), then id 70 (rc -0.25
-    # against -0.2 for id 40). At pi = 0.25 the candidates are id 40
-    # (rc -0.075) and id 20 (rc -0.035): Dantzig takes id 40, Bland id 20,
+    # pivot stalls and Bland's rule picks the third entering column. Every
+    # column costs 1, so rc = 1 - v . pi. From pi = (1, 1) Dantzig enters
+    # id 70 (rc -13/2), then at pi = (-5/8, 1) id 60 (rc -17/8). At
+    # pi = (-2/27, 10/27) the candidates are id 40 (rc -1/27), id 20
+    # (rc -5/27) and id 50 (rc -7/27): Dantzig takes id 50, Bland id 20,
     # which is neither first in arrival order nor the most negative.
-    # The box columns are id 0 (+e_0) and id 1 (-e_0).
+    # The box columns are ids 0, 1 (+e_q) and 2, 3 (-e_q).
     import turanlab.simplex as simplex
 
-    cols = [(60, [4.0], 2.0), (70, [1.0], 0.25), (40, [0.5], 0.05),
-            (20, [0.1], -0.01)]
+    cols = [(60, [-1.0, 2.5]), (70, [4.0, 3.5]), (40, [1.0, 3.0]),
+            (20, [1.5, 3.5]), (50, [3.0, 4.0])]
+    monkeypatch.setattr(simplex, "LP_PIVOT_CAP", 2)
+    two = solve_column_lp(np.zeros(2), cols, lambda pi: [])
+    assert two.basis == [70, 60]
+    assert two.pi.tolist() == pytest.approx([-2 / 27, 10 / 27])
     monkeypatch.setattr(simplex, "LP_PIVOT_CAP", 3)
-    dantzig = solve_column_lp(np.array([0.0]), cols, lambda pi: [])
+    dantzig = solve_column_lp(np.zeros(2), cols, lambda pi: [])
     assert dantzig.status == "budget-exceeded"
-    assert dantzig.basis == [40]
+    assert dantzig.basis == [50, 60]
     assert dantzig.diagnostics["bland_pivots"] == 0
     monkeypatch.setattr(simplex, "STALL_LIMIT", 1)
-    bland = solve_column_lp(np.array([0.0]), cols, lambda pi: [])
-    assert bland.basis == [20]
+    bland = solve_column_lp(np.zeros(2), cols, lambda pi: [])
+    assert bland.basis == [70, 20]
     assert bland.pivots == 3 and bland.diagnostics["bland_pivots"] == 1
 
 
@@ -320,8 +326,8 @@ def test_drifting_inverse_is_rebuilt_before_pricing(monkeypatch):
         pool = cols[2 * p:]
 
         def price(pi):
-            return [(cid, vec, cost) for cid, vec, cost in pool
-                    if cost - sum(v * y for v, y in zip(vec, pi)) < -1e-9]
+            return [(cid, vec) for cid, vec in pool
+                    if 1 - sum(v * y for v, y in zip(vec, pi)) < -1e-9]
 
         res = solve_column_lp(np.array(w), [], price)
         assert res.status == "optimal", f"case {case}"

@@ -48,6 +48,12 @@ def test_find_spectrum_hand_cases():
     assert single.candidate.T == ((0,),)
 
 
+def test_find_spectrum_needs_a_nonempty_base_set():
+    # an empty H has no spectrum to look for
+    with pytest.raises(ValueError, match="nonempty"):
+        find_spectrum(make_group([8]), [])
+
+
 def test_find_spectrum_certifies_absence():
     G = make_group([8])
     search = find_spectrum(G, [0, 1, 3])

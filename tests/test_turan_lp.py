@@ -332,7 +332,7 @@ def _pair_problem(G, dom):
     dual_index = np.concatenate(([0], reps))
     scale = np.array([N // m for m in mods], dtype=np.int64)
     return LPProblem(
-        G, dom, pairs,
+        G, dom,
         sizes=np.array([s for _x, s in pairs], dtype=np.int64),
         phase_x=pair_coords * scale,
         pair_index=flat(mods, pair_coords),
@@ -391,7 +391,8 @@ def _orbit_union_domain(rng, G, seeds):
 
 def _orbit_pairs(prob):
     """The pairs of each variable orbit, in order."""
-    return [[prob.pairs[q] for q in prob.orbit_pairs(o)]
+    return [[(prob.group.element(int(prob.pair_index[q])), int(prob.sizes[q]))
+             for q in prob.orbit_pairs(o)]
             for o in range(prob.n_vars)]
 
 
@@ -405,7 +406,7 @@ def test_rows_match_transform_of_a_delta():
         G = _random_lp_group(rng)
         prob = build_lp_problem(G, _orbit_union_domain(rng, G,
                                                        rng.randint(1, 8)))
-        merged += prob.n_vars < len(prob.pairs)
+        merged += prob.n_vars < len(prob.sizes)
         assert prob.dual_pairs == [(G.identity(), 1)] + \
             G.pair_representatives(G.elements())
         quarter = all(m in (1, 2, 4) for m in G.moduli)
@@ -434,7 +435,7 @@ def test_exact_rows_match_sign_transform():
         G = make_group([2] * rng.randint(1, 8) + [1] * rng.randint(0, 1))
         prob = build_lp_problem(G, _orbit_union_domain(rng, G,
                                                        rng.randint(1, 6)))
-        merged += prob.n_vars < len(prob.pairs)
+        merged += prob.n_vars < len(prob.sizes)
         for r, t in enumerate(prob.row_index.tolist()):
             delta = [0] * G.order
             delta[t] = 1
@@ -466,7 +467,7 @@ def _record_pricing(monkeypatch):
 
         def recording(pi):
             out = price(pi)
-            calls.append((np.array(pi), [cid - 2 * p for cid, _v, _c in out]))
+            calls.append((np.array(pi), [cid - 2 * p for cid, _v in out]))
             return out
 
         return real(w, initial, recording, **kwargs)
@@ -504,7 +505,7 @@ def test_price_offers_rows_once_in_rc_order(monkeypatch, k, mode):
     want = solve_lp(_pair_problem(G, dom), mode)
     calls = _record_pricing(monkeypatch)
     prob = build_lp_problem(G, dom)
-    assert prob.n_vars < len(prob.pairs) and prob.n_rows < len(prob.dual_index)
+    assert prob.n_vars < len(prob.sizes) and prob.n_rows < len(prob.dual_index)
     sol = solve_lp(prob, mode)
     assert sol.status == "optimal"
     assert sol.value == pytest.approx(want.value, abs=1e-9)
@@ -731,7 +732,7 @@ def test_batched_rows_stack_the_single_rows():
         prob = build_lp_problem(G, dom)
         if prob.n_vars == 0:
             continue
-        per_orbit = np.diff(prob.orbit_start, append=len(prob.pairs))
+        per_orbit = np.diff(prob.orbit_start, append=len(prob.sizes))
         long_orbits += 3 in G.moduli and per_orbit.max() >= 9
         rs = rng.sample(range(prob.n_rows), min(prob.n_rows, 40)) + [0, 0]
         got = prob.row(np.array(rs))
