@@ -230,6 +230,8 @@ def _finite_group(doc):
     """The group, the domain and the mode of a finite-group problem."""
     if "moduli" not in doc:
         raise SpecError("finite-group problems need field 'moduli'")
+    if not isinstance(doc["moduli"], list):
+        raise SpecError("field 'moduli' must be a list of positive integers")
     group = _checked("moduli", make_group, doc["moduli"])
     domain = symmetric_domain(group, _elements(doc["domain"], group.rank,
                                                "domain"))
@@ -350,10 +352,15 @@ def _run_real_line(doc, tol, budget):
     if "c" in hints:
         reports.append(_checked("hints.c", lattice_certificate, domain,
                                 _rat_field(hints["c"], "hints.c")))
-    for i, t in enumerate(hints.get("tents", [])):
+    tents = hints.get("tents", [])
+    if not isinstance(tents, list):
+        raise SpecError("hint 'tents' must be a list of tents")
+    for i, t in enumerate(tents):
         if not isinstance(t, dict) or set(t) != {"c", "D"}:
             raise SpecError(f"hints.tents[{i}] needs exactly the fields "
                             "c and D")
+        if not isinstance(t["D"], list):
+            raise SpecError(f"hints.tents[{i}].D must be a list of shifts")
         train = _checked(f"hints.tents[{i}]", tent_train,
                          _rat_field(t["c"], f"hints.tents[{i}].c"),
                          [_rat_field(x, f"hints.tents[{i}].D")

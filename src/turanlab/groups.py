@@ -91,17 +91,6 @@ class FiniteAbelianGroup:
             o = o * (m // math.gcd(m, c)) // math.gcd(o, m // math.gcd(m, c))
         return o
 
-    def pair_representatives(self, elems: Iterable[Element]) -> list[tuple[Element, int]]:
-        """One representative per negation pair {x, -x}, with the pair size.
-
-        0 is skipped. Representatives come out in enumeration order, the
-        lexicographically smaller member of each pair first (or the only
-        member present).
-        """
-        idx = sorted({self.index(x) for x in elems})
-        reps, sizes = negation_pairs(self.moduli, idx)
-        return [(self.element(i), s) for i, s in zip(reps.tolist(), sizes.tolist())]
-
 
 def _element_coords(x):
     """x as a coordinate sequence: a bare integer is a one-coordinate element."""
@@ -250,9 +239,6 @@ class SymmetricDomain:
 
     def sorted_elements(self) -> list[Element]:
         return sorted(self.elements, key=self.group.index)
-
-    def pair_representatives(self) -> list[tuple[Element, int]]:
-        return self.group.pair_representatives(self.elements)
 
     def __contains__(self, x) -> bool:
         try:

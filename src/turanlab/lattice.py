@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import index
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .errors import (CertificateInvalidError, DomainNotSymmetricError,
 from .groups import (FiniteAbelianGroup, SymmetricDomain, _element_coords,
                      make_group, symmetric_domain)
 from .packing import greedy_scan
-from .rational import solve_fractions
+from .rational import adjugate
 from .turan_lp import turan_constant
 
 Point = tuple[int, ...]
@@ -42,10 +43,6 @@ class LatticeDomain:
 
     d: int
     elements: frozenset[Point]
-
-    @property
-    def m(self) -> int:
-        return len(self.elements)
 
     def sorted_elements(self) -> list[Point]:
         return sorted(self.elements)
@@ -213,7 +210,7 @@ class PeriodicSet:
     {sum_i z_i basis[i]}. Membership is decided exactly: with B holding
     the generators as columns, v lies in the sublattice iff B^{-1} v is
     integral, that is iff adj(B) v vanishes mod det(B). Both come from
-    one Fraction elimination of B.
+    one fraction-free integer elimination of B (``rational.adjugate``).
     """
 
     d: int
@@ -236,12 +233,10 @@ class PeriodicSet:
                         f"residues {r1} and {r2} coincide modulo the lattice")
 
     @cached_property
-    def _adjugate(self) -> tuple[int, list[list[int]]]:
+    def _adjugate(self) -> tuple[int, list[list[int]] | None]:
         """det(B) and the integer matrix adj(B) = det(B) B^{-1}, with the
-        generators as the columns of B (no rows when B is singular)."""
-        identity = [[int(i == j) for j in range(self.d)] for i in range(self.d)]
-        det, inv = solve_fractions(list(zip(*self.basis)), identity)
-        return int(det), [[int(det * x) for x in row] for row in inv or []]
+        generators as the columns of B (None when B is singular)."""
+        return adjugate(list(zip(*self.basis)))
 
     @property
     def det(self) -> int:
@@ -266,7 +261,12 @@ class PeriodicSet:
 
 
 def periodic_set(d: int, basis, residues) -> PeriodicSet:
-    B = tuple(tuple(int(c) for c in row) for row in basis)
+    """Basis rows of Python or numpy integers; anything else, a float such
+    as 2.0 included, is a ValueError rather than truncated."""
+    try:
+        B = tuple(tuple(index(c) for c in row) for row in basis)
+    except TypeError as e:
+        raise ValueError(f"basis must be a d x d integer matrix: {e}") from None
     R = tuple(_canon_point(r, d) for r in residues)
     return PeriodicSet(d, B, R)
 

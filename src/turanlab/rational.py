@@ -1,46 +1,40 @@
-"""Exact linear solves in Fraction arithmetic.
+"""Exact square solves by one fraction-free integer elimination.
 
-One Gaussian elimination serves every exact square solve in the
-package: the LP's exact finish recomputes an optimal basis with it, and
+The LP's exact finish proves an optimal basis from its adjugate, and
 periodic sets take their determinant and lattice membership from it.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import index
 
 
-def solve_fractions(A, B) -> tuple[Fraction, list[list[Fraction]] | None]:
-    """Determinant of the square matrix A and the solution X of A X = B.
+def adjugate(A) -> tuple[int, list[list[int]] | None]:
+    """det(A) and the integer adj(A) = det(A) A^-1 of a square matrix of
+    integers (a float is a TypeError, not truncated); (0, None) when A is
+    singular.
 
-    A (n x n) and B (n x k) are sequences of rows of ints or Fractions;
-    X comes back as n rows of k Fractions, or None when A is singular.
-    Elimination pivots on the first nonzero entry of each column.
+    Gauss-Jordan elimination of [A | I] in Bareiss's fraction-free form
+    (Math. Comp. 22, 1968): every entry is a minor of [A | I], so each
+    ``//`` divides exactly and no Fraction is formed. Pivots are the first
+    nonzero entry of each column, and every row swap flips det's sign.
     """
     n = len(A)
-    # ints stay ints until a division makes them Fractions
-    M = [list(a) + list(b) for a, b in zip(A, B)]
-    det = 1
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c]), None)
+    M = [[index(a) for a in row] + [int(i == j) for j in range(n)]
+         for i, row in enumerate(A)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if M[r][k]), None)
         if piv is None:
-            return Fraction(0), None
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            det = -det
-        top = M[c]
-        det *= top[c]
-        tail = top[c + 1:]
-        for r in range(c + 1, n):
-            row = M[r]
-            if row[c]:
-                f = Fraction(row[c]) / top[c]
-                row[c + 1:] = [a - f * b if b else a
-                               for a, b in zip(row[c + 1:], tail)]
-    k = len(M[0]) - n if n else 0
-    X: list[list[Fraction]] = [[] for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        row = M[i]
-        X[i] = [Fraction(row[n + j] - sum(row[l] * X[l][j]
-                                          for l in range(i + 1, n) if row[l]))
-                / row[i] for j in range(k)]
-    return Fraction(det), X
+            return 0, None
+        if piv != k:
+            M[k], M[piv] = M[piv], M[k]
+            sign = -sign
+        top = M[k]
+        d = top[k]
+        for i in range(n):
+            m = M[i][k]
+            # a row with m = 0 changes only when the pivot does
+            if i != k and (m or d != prev):
+                M[i] = [(d * a - m * b) // prev for a, b in zip(M[i], top)]
+        prev = d
+    return sign * prev, [[sign * a for a in row[n:]] for row in M]

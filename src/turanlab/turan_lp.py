@@ -51,7 +51,7 @@ from .groups import (Element, FiniteAbelianGroup, Subgroup, SymmetricDomain,
                      quotient_group, subgroup_as_group, symmetric_domain)
 from .harmonic import (GroupFunction, _axis_transform, _root_table,
                        is_positive_definite)
-from .rational import solve_fractions
+from .rational import adjugate
 from .simplex import SingularBasisError, solve_column_lp
 
 
@@ -92,7 +92,7 @@ class LPProblem:
     indices ``pair_index``, ``pair_neg_index`` and ``row_index`` place
     the pairs and the rows' least characters in the group's enumeration
     for the whole-group transforms of pricing, the certificate and the
-    witness; the exact finish runs the same transforms on Fractions.
+    witness; the exact finish runs the same transforms on Python ints.
 
     The character-side arrays, ``dual_coords``, ``dual_sizes``,
     ``dual_index``, ``row_order``, ``row_start`` and ``cos_table``, are
@@ -352,17 +352,24 @@ def verify_dual_certificate(problem: LPProblem, row_weights,
 
     Requirements: weights nonnegative, and the weighted pair rows add up
     to minus the objective vector, pair by pair of the domain.
-    ``Fraction`` weights are checked exactly and prove a ``Fraction``
-    bound; any other weights are checked in float, within feasibility
-    tolerance scaled by |G|. The certified bound is then
-    1 + sum_r weight_r, by weak duality.
+    ``Fraction`` weights are checked exactly, as integer numerators over
+    their common denominator D, and prove a ``Fraction`` bound; any other
+    weights are checked in float, within feasibility tolerance scaled by
+    |G|. The certified bound is then 1 + sum_r weight_r, by weak duality.
     """
     G = problem.group
     if len(row_weights) != len(problem.dual_index):
         raise CertificateInvalidError("one weight per character pair required")
     exact = all(isinstance(v, Fraction) for v in row_weights)
-    tol = 0 if exact else tolerances.feasibility
-    lam = np.asarray(row_weights, dtype=object if exact else float)
+    if exact:
+        D = math.lcm(*(v.denominator for v in row_weights))
+        lam = np.array([v.numerator * (D // v.denominator)
+                        for v in row_weights], dtype=object)
+        # Python ints, which a large D cannot overflow
+        s, tol = problem.sizes.astype(object), 0
+    else:
+        D, s, tol = 1, problem.sizes, tolerances.feasibility
+        lam = np.asarray(row_weights, dtype=float)
     negative = np.flatnonzero(lam < -tol)
     if negative.size:
         raise CertificateInvalidError(f"negative weight on row {negative[0]}")
@@ -371,13 +378,12 @@ def verify_dual_certificate(problem: LPProblem, row_weights,
     u = np.zeros(G.order, dtype=lam.dtype)
     u[problem.dual_index] = lam
     spread = _axis_transform(u, G.moduli, False).real
-    s = problem.sizes
-    resid = np.abs(s * spread[problem.pair_index] + s).max(initial=0)
+    resid = np.abs(s * spread[problem.pair_index] + s * D).max(initial=0)
     if resid > tol * max(1.0, float(G.order)):
         raise CertificateInvalidError(
-            f"row combination misses objective by {float(resid):.3e}")
+            f"row combination misses objective by {float(resid / D):.3e}")
     total = np.dot(lam, np.ones_like(lam))
-    return Fraction(1) + total if exact else 1.0 + float(total)
+    return Fraction(1) + Fraction(total, D) if exact else 1.0 + float(total)
 
 
 def _embed(problem: LPProblem, y) -> np.ndarray:
@@ -415,18 +421,18 @@ def _mixed_witness(problem: LPProblem, y,
 
 
 def _exact_basis(problem: LPProblem, basis: list[int]):
-    """Recompute the simplex's final basis in Fractions and prove it optimal.
+    """Recompute the simplex's final basis exactly and prove it optimal.
 
     Box column o is +e_o (id o) or -e_o (id p + o) and character column r
     is -row(r) (id 2p + r), all of cost 1; on moduli {1, 2} the float rows
-    hold exact integers. Eliminations of B and of its transpose give the
-    basic weights xB = B^-1 w, w the orbit sizes, and the multipliers
-    pi = 1 B^-1. The basis is optimal when xB >= 0 and no column has
-    negative reduced cost: |pi_o| <= 1 for the box columns, and
-    transform(embed(pi)) >= 0 at every row's least character for the
-    character columns. Returns the weights by
-    column id, the objective sum(xB) and pi; raises
-    CertificateInvalidError on the first failed check.
+    hold exact integers. One fraction-free elimination of B gives d =
+    det(B) and adj(B) = d B^-1, hence the basic weights xB = adj w / d, w
+    the orbit sizes, and the multipliers pi = 1 adj / d. The basis is
+    optimal when xB >= 0 and no column has negative reduced cost:
+    |pi_o| <= 1 for the box columns, and transform(embed(pi)) >= 0 at
+    every row's least character, read off the integer |d| embed(pi).
+    Returns the weights by column id, the objective sum(xB) and pi, in
+    Fractions; raises CertificateInvalidError on the first failed check.
     """
     p = problem.n_vars
     cols = []
@@ -437,27 +443,31 @@ def _exact_basis(problem: LPProblem, basis: list[int]):
             cols.append(col)
         else:
             cols.append([-int(v) for v in problem.row(b - 2 * p).tolist()])
-    _det, xB = solve_fractions(list(zip(*cols)),
-                               [[s] for s in problem.orbit_sizes.tolist()])
-    if xB is None:
+    d, adj = adjugate(list(zip(*cols)))
+    if adj is None:
         raise CertificateInvalidError("final basis is singular")
-    xB = [x for x, in xB]
+    # numerators over |d|, so a sign test reads them directly
+    sign, d = (1 if d > 0 else -1), abs(d)
+    w = problem.orbit_sizes.tolist()
+    xB = [Fraction(sign * sum(a * s for a, s in zip(row, w)), d)
+          for row in adj]
     neg = next((j for j, x in enumerate(xB) if x < 0), None)
     if neg is not None:
         raise CertificateInvalidError(
             f"basic weight of column {basis[neg]} is {xB[neg]} < 0")
-    _det, pi = solve_fractions(cols, [[1]] * len(cols))
-    pi = np.array([y for y, in pi], dtype=object)
+    num = [sign * sum(col) for col in zip(*adj)]
+    pi = np.array([Fraction(y, d) for y in num], dtype=object)
     over = np.flatnonzero(abs(pi) > 1)
     if over.size:
         raise CertificateInvalidError(
             f"multiplier of orbit {over[0]} is {pi[over[0]]}, beyond [-1, 1]")
-    fhat = _axis_transform(_embed(problem, pi), problem.group.moduli, False)
-    rc = fhat[problem.row_index]
+    vals = _embed(problem, np.array(num, dtype=object))
+    vals[0] = d
+    rc = _axis_transform(vals, problem.group.moduli, False)[problem.row_index]
     bad = np.flatnonzero(rc < 0)
     if bad.size:
         raise CertificateInvalidError(
-            f"row {bad[0]} has reduced cost {rc[bad[0]]} < 0")
+            f"row {bad[0]} has reduced cost {Fraction(rc[bad[0]], d)} < 0")
     weights = {b: x for b, x in zip(basis, xB) if x}
     return weights, sum(xB), pi
 

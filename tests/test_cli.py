@@ -448,6 +448,33 @@ def test_exit_code_malformed_problem_value(tmp_path, capsys, doc, argv,
     assert message in err and "internal error" not in err
 
 
+@pytest.mark.parametrize("doc, message", [
+    (dict(_Z8, moduli=8), "moduli"),
+    (dict(_LINE, hints={"tents": [{"c": 1, "D": 0}]}), "hints.tents[0].D"),
+    (dict(_LINE, hints={"tents": 5}), "tents"),
+    (dict(_INTERVAL, hints={"Lambda": {"basis": 5, "residues": [0]}}),
+     "hints.Lambda: basis"),
+    (dict(_INTERVAL, hints={"Lambda": {"basis": [5], "residues": [0]}}),
+     "hints.Lambda: basis"),
+    (dict(_INTERVAL, hints={"Lambda": {"basis": [[2.5]], "residues": [0]}}),
+     "hints.Lambda: basis"),
+    (dict(_INTERVAL, hints={"Lambda": {"basis": [[2.0]], "residues": [0]}}),
+     "hints.Lambda: basis"),
+    (dict(_INTERVAL, hints={"Lambda": {"basis": [["2"]], "residues": [0]}}),
+     "hints.Lambda: basis"),
+], ids=["scalar-moduli", "scalar-tent-shifts", "scalar-tents",
+        "scalar-basis", "scalar-basis-row", "fractional-basis",
+        "float-basis", "string-basis"])
+def test_exit_code_wrong_type_in_problem_field(tmp_path, capsys, doc,
+                                               message):
+    # a scalar where a list belongs, or a lattice basis entry that is not
+    # an integer (which used to be truncated to a lattice the file never
+    # named), is an input mistake naming its field
+    code, out, err = run(capsys, "turan", problem(tmp_path, doc))
+    assert code == 1 and out == ""
+    assert message in err and "internal error" not in err
+
+
 def test_trivial_subgroup_hint_stays_valid(tmp_path, capsys):
     # no generators give the trivial subgroup, a valid K
     code, out, _ = run(capsys, "turan",

@@ -209,6 +209,22 @@ def test_periodic_set_validation():
         periodic_set(1, [[4]], [(0,), (0,)])
 
 
+@pytest.mark.parametrize("basis", [[[2.5]], [[2.0]], [[np.float64(2)]],
+                                   [["2"]], 5, [5]],
+                         ids=["fraction", "integral-float", "np-float",
+                              "string", "scalar", "scalar-row"])
+def test_periodic_set_refuses_a_non_integer_basis(basis):
+    # 2.5 used to run as the lattice 2Z, which the caller never named
+    with pytest.raises(ValueError, match="basis"):
+        periodic_set(1, basis, [(0,)])
+
+
+def test_periodic_set_accepts_numpy_integers():
+    lam = periodic_set(2, np.array([[1, 1], [2, -1]]), [(0, 0)])
+    assert lam.basis == ((1, 1), (2, -1)) and lam.det == -3
+    assert all(type(c) is int for row in lam.basis for c in row)
+
+
 def test_periodic_set_needs_a_residue():
     # no residues would be density 0, and the bound 1/density undefined
     with pytest.raises(ValueError, match="nonempty"):

@@ -19,7 +19,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from turanlab.rational import solve_fractions
 from turanlab.simplex import ColumnLPResult, solve_column_lp
 
 
@@ -103,16 +102,15 @@ def _floats(w, columns):
 
 
 def _certify_basis(w, columns, basis):
-    """Recompute a final basis in Fractions, the way exact mode does: the
-    basic weights must be nonnegative and the multipliers feasible for
-    every column. Returns the exact objective."""
+    """Recompute a final basis in Fractions by Cramer's rule, independent
+    of the package's elimination: the basic weights must be nonnegative
+    and the multipliers feasible for every column. Returns the exact
+    objective."""
     by_id = dict(columns)
     cols = [[Fraction(v) for v in by_id[b]] for b in basis]
-    _det, x = solve_fractions(list(zip(*cols)), [[Fraction(v)] for v in w])
+    x = _solve_square([list(r) for r in zip(*cols)], [Fraction(v) for v in w])
     assert x is not None, "final basis is singular"
-    _det, y = solve_fractions(cols, [[Fraction(1)]] * len(cols))
-    x = [v for v, in x]
-    y = [v for v, in y]
+    y = _solve_square(cols, [Fraction(1)] * len(cols))
     assert all(v >= 0 for v in x), f"negative basic weight in {x}"
     for cid, vec in columns:
         assert sum(Fraction(v) * yq for v, yq in zip(vec, y)) <= 1, \

@@ -62,6 +62,19 @@ def _rational_shapes(max_order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _pair_representatives(G, elems):
+    """(representative, pair size) per negation pair {x, -x} of ``elems``,
+    0 skipped, the first member of each pair in enumeration order."""
+    chosen, seen = [], set()
+    for x in sorted(elems, key=G.index):
+        if x == G.identity() or x in seen:
+            continue
+        nx = G.neg(x)
+        seen.update((x, nx))
+        chosen.append((x, 1 if nx == x else 2))
+    return chosen
+
+
 def _det(M):
     n = len(M)
     if n == 1:
@@ -78,7 +91,7 @@ def _vertex_oracle(G, domain) -> Fraction:
     on a vertex spanned by p active rows.
     """
     L = math.lcm(*G.moduli)
-    pairs = domain.pair_representatives()
+    pairs = _pair_representatives(G, domain.elements)
     p = len(pairs)
     if p == 0:
         return Fraction(1)
@@ -171,7 +184,7 @@ def test_lp_matches_vertex_oracle():
             elems.add(x)
             elems.add(G.neg(x))
         dom = symmetric_domain(G, elems)
-        if len(dom.pair_representatives()) > 3:
+        if len(_pair_representatives(G, dom.elements)) > 3:
             continue  # keep the subset enumeration small
         sol = turan_constant(G, dom)
         want = _vertex_oracle(G, dom)
@@ -325,7 +338,7 @@ def _pair_problem(G, dom):
 
     mods = G.moduli
     N = math.lcm(*mods)
-    pairs = dom.pair_representatives()
+    pairs = _pair_representatives(G, dom.elements)
     pair_coords = np.array([x for x, _s in pairs],
                            dtype=np.int64).reshape(len(pairs), len(mods))
     reps, sizes = negation_pairs(mods, np.arange(G.order))
@@ -408,7 +421,7 @@ def test_rows_match_transform_of_a_delta():
                                                        rng.randint(1, 8)))
         merged += prob.n_vars < len(prob.sizes)
         assert prob.dual_pairs == [(G.identity(), 1)] + \
-            G.pair_representatives(G.elements())
+            _pair_representatives(G, G.elements())
         quarter = all(m in (1, 2, 4) for m in G.moduli)
         for r, t in enumerate(prob.row_index.tolist()):
             re = tl.dft(tl.from_dict(G, {G.element(t): 1.0})).values.real
@@ -664,7 +677,7 @@ def test_symmetries_match_a_brute_force_orbit_closure():
         assert kept == want, f"case {case}: {moduli}"
 
         reps = [0] + [G.index(x) for x, _s in
-                      G.pair_representatives(G.elements())]
+                      _pair_representatives(G, G.elements())]
         labels = orbit_labels(G.moduli, kept, reps).tolist()
         for t, label in zip(reps, labels):
             orbit = _closure(G, [G.element(t)], kept)
@@ -1042,6 +1055,62 @@ def test_hard_domains_solve_to_their_exact_values(name, mode):
     assert abs(sol.value - float(want)) <= 1e-9
     if mode == "exact-rational":
         assert sol.exact_value == want
+
+
+def test_exact_solve_runs_one_elimination(monkeypatch):
+    from turanlab import turan_lp
+
+    calls = []
+    adjugate = turan_lp.adjugate
+
+    def spy(A):
+        calls.append(len(A))
+        return adjugate(A)
+
+    monkeypatch.setattr(turan_lp, "adjugate", spy)
+    G, dom = _hh_domain(6)
+    sol = turan_constant(G, dom, mode="exact-rational")
+    assert sol.exact_value == 6 and "exact_check" not in sol.diagnostics
+    assert calls == [sol.problem.n_vars]
+
+
+def _two_orbit_problem():
+    """{0, (1, 0), (1, 1)} on Z_2^2: no swap fixes it, so the orbits are
+    the two elements, of weight 1 each."""
+    G = make_group([2, 2])
+    prob = build_lp_problem(G, symmetric_domain(G, [(0, 0), (1, 0), (1, 1)]))
+    assert prob.n_vars == 2 and prob.orbit_sizes.tolist() == [1, 1]
+    return prob
+
+
+@pytest.mark.parametrize("basis, message", [
+    # +e_0 and -e_0
+    ([0, 2], "final basis is singular"),
+    # -e_0 and -e_1: xB = -w
+    ([2, 3], "basic weight of column 2 is -1 < 0"),
+    # -e_0 and +e_1: det(B) = -1
+    ([2, 1], "basic weight of column 2 is -1 < 0"),
+    # +e_0 and the column -(1, -1) of character (0, 1): pi = (1, 2)
+    ([0, "row"], "multiplier of orbit 1 is 2, beyond [-1, 1]"),
+    (["row", 0], "multiplier of orbit 1 is 2, beyond [-1, 1]"),
+    # +e_0 and +e_1: pi = (1, 1), whose transform at (1, 0) is 1 - 1 - 1
+    ([0, 1], "row 2 has reduced cost -1 < 0"),
+    ([1, 0], "row 2 has reduced cost -1 < 0"),
+], ids=["singular", "negative-weight", "negative-weight-det-1",
+        "multiplier", "multiplier-det-1", "reduced-cost",
+        "reduced-cost-det-1"])
+def test_exact_basis_failures(basis, message):
+    """Each failed check of the exact finish, with a positive and, where
+    the check can fail after it, a negative determinant."""
+    from turanlab import turan_lp
+
+    prob = _two_orbit_problem()
+    row = next(r for r in range(prob.n_rows)
+               if prob.row(r).tolist() == [1, -1])
+    basis = [2 * prob.n_vars + row if b == "row" else b for b in basis]
+    with pytest.raises(CertificateInvalidError) as e:
+        turan_lp._exact_basis(prob, basis)
+    assert str(e.value) == message
 
 
 def test_failed_exact_check_reports_no_exact_value(monkeypatch, tmp_path,
