@@ -36,7 +36,7 @@ def main() -> None:
     spect = spectral_bound(G, dom, cand.H, cand.T)
     print(f"  spectral upper bound = {spect.as_float():g}")
 
-    lam = max_packing_set(G, dom, SearchBudget(node_limit=50_000))
+    lam = max_packing_set(G, dom, SearchBudget(node_limit=1_000))
     pack = packing_bound(G, dom, lam.elements)
     print(f"\npacking search ({lam.maximality}): |Lambda| = {lam.size}")
     print(f"  packing upper bound = {pack.value} = {float(pack.value):g}")

@@ -171,8 +171,9 @@ def _resolve_tolerances(doc: dict, args) -> Tolerances:
         if not isinstance(raw, dict) or set(raw) - {"feasibility", "reporting"}:
             raise SpecError("field 'tolerances' accepts feasibility and "
                             "reporting only")
-        tol = Tolerances(float(raw.get("feasibility", tol.feasibility)),
-                         float(raw.get("reporting", tol.reporting)))
+        tol = Tolerances(*(float(_json_number(raw.get(k, getattr(tol, k)),
+                                              f"tolerances.{k}", positive=True))
+                           for k in ("feasibility", "reporting")))
     if args.tol is not None:
         if args.tol <= 0:
             raise SpecError("--tol must be positive")
@@ -190,9 +191,10 @@ def _resolve_budget(doc: dict, args) -> SearchBudget:
                                                     "time_limit"}:
             raise SpecError("field 'budget' accepts node_limit and "
                             "time_limit only")
-        nodes = int(raw.get("node_limit", nodes))
+        nodes = _json_number(raw.get("node_limit", nodes),
+                             "budget.node_limit", (int,))
         if raw.get("time_limit") is not None:
-            limit = float(raw["time_limit"])
+            limit = float(_json_number(raw["time_limit"], "budget.time_limit"))
     if args.budget_nodes is not None:
         nodes = int(args.budget_nodes)
     if args.time_limit is not None:
@@ -200,6 +202,21 @@ def _resolve_budget(doc: dict, args) -> SearchBudget:
     if nodes <= 0:
         raise SpecError("node budget must be positive")
     return SearchBudget(nodes, limit)
+
+
+# JSON true and false load as Python bools, which are ints, but no number
+# in a problem file may be one
+def _has_bool(value) -> bool:
+    return isinstance(value, bool) or (isinstance(value, list)
+                                       and any(map(_has_bool, value)))
+
+
+def _json_number(value, where: str, kinds=(int, float), positive=False):
+    if type(value) not in kinds or (positive and not value > 0):
+        what = ("a positive number" if positive else
+                "an integer" if kinds == (int,) else "a number")
+        raise SpecError(f"field '{where}' must be {what}, got {value!r}")
+    return value
 
 
 def _rat_field(value, where: str) -> Fraction:
@@ -230,7 +247,7 @@ def _finite_group(doc):
     """The group, the domain and the mode of a finite-group problem."""
     if "moduli" not in doc:
         raise SpecError("finite-group problems need field 'moduli'")
-    if not isinstance(doc["moduli"], list):
+    if not isinstance(doc["moduli"], list) or _has_bool(doc["moduli"]):
         raise SpecError("field 'moduli' must be a list of positive integers")
     group = _checked("moduli", make_group, doc["moduli"])
     domain = symmetric_domain(group, _elements(doc["domain"], group.rank,
@@ -279,7 +296,7 @@ def _elements(raw, rank: int, where: str) -> list:
         raise SpecError(f"field '{where}' must be a list of elements")
     for i, x in enumerate(raw):
         coords = x if isinstance(x, list) else [x]
-        if len(coords) != rank or not all(isinstance(c, int) for c in coords):
+        if len(coords) != rank or not all(type(c) is int for c in coords):
             raise SpecError(f"{where}[{i}]: {x!r} is not an element with "
                             f"{rank} integer coordinate(s)")
     return raw
@@ -301,7 +318,7 @@ def _element_sets(hints: dict, key: str, rank: int) -> list[list]:
 
 def _run_lattice_z(doc, tol, budget):
     d = doc.get("dimension", 1)
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         raise SpecError("field 'dimension' must be a positive integer")
     domain = lattice_domain(d, _elements(doc["domain"], d, "domain"))
     hints = doc.get("hints", {})
@@ -326,6 +343,9 @@ def _run_lattice_z(doc, tol, budget):
         if not isinstance(raw, dict) or set(raw) != {"basis", "residues"}:
             raise SpecError("lattice-z hint 'Lambda' needs exactly the "
                             "fields basis and residues")
+        if _has_bool(raw["basis"]):
+            raise SpecError("hints.Lambda: basis must be a d x d integer "
+                            "matrix, not true or false")
         lam = _checked("hints.Lambda", periodic_set, d, raw["basis"],
                        _elements(raw["residues"], d, "hints.Lambda.residues"))
         reports.append(density_bound_zd(domain, lam))
@@ -619,7 +639,7 @@ def _check_tao_comparison():
     dom = difference_set(G, H)
     # a proof of maximality is not needed here, any found packing will do
     reports = compare_bounds(G, dom, {"H": [H]},
-                             budget=SearchBudget(node_limit=50_000))
+                             budget=SearchBudget(node_limit=1_000))
     spect = [r for r in reports if r.method == "spectral"]
     pack = [r for r in reports if r.method == "packing"]
     lp = [r for r in reports if r.method == "lp"]

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import index
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -213,7 +214,11 @@ def translate(moduli: tuple[int, ...], v, s) -> np.ndarray:
 
 
 def make_group(moduli: Sequence[int]) -> FiniteAbelianGroup:
-    mods = tuple(int(m) for m in moduli)
+    # operator.index, as in periodic_set: 2.0 is refused, not truncated
+    try:
+        mods = tuple(index(m) for m in moduli)
+    except TypeError as e:
+        raise ValueError(f"moduli must be integers: {e}") from None
     for m in mods:
         if m < 1:
             raise ValueError(f"modulus {m} is not a positive integer")

@@ -45,8 +45,10 @@ Termination statuses:
                      ``PIVOT_TOL``. With unit costs the minimum is never
                      unbounded (lam >= 0 gives sum lam >= 0), so this
                      only reports a numerically unusable direction
-    budget-exceeded  ``LP_PIVOT_CAP`` pivots done; the current iterate is
-                     still feasible
+    budget-exceeded  ``LP_PIVOT_CAP`` pivots done; an iterate that drifted
+                     from its basis is re-solved from the basis columns,
+                     or replaced by the start basis when they give no
+                     nonnegative solution, so the weights are feasible
 """
 from __future__ import annotations
 
@@ -149,16 +151,14 @@ def solve_column_lp(
     for cid, vec in initial_columns:
         work.add(cid, vec)
 
-    # start basis: for each row q the box column of sign sgn(w_q)
+    # start basis, kept whole: for each row q the box column of sign sgn(w_q)
     q = np.arange(p)
     neg = w < 0.0
     sign = np.where(neg, -1.0, 1.0)
-    basis = np.where(neg, p + q, q)
-    slot = 2 * q + neg
+    start = np.where(neg, p + q, q), 2 * q + neg, np.diag(sign), w * sign
+    basis, slot, Binv, xB = (a.copy() for a in start)
     # the multipliers are ones @ Binv: Binv.sum(axis=0) adds in another order
     ones = np.ones(p)
-    Binv = np.diag(sign)
-    xB = w * sign
 
     pivots = 0
     bland_pivots = 0
@@ -173,7 +173,10 @@ def solve_column_lp(
         return np.cumsum(xB)[-1] if p else 0.0
 
     def weights():
-        return {b: x for b, x in zip(basis.tolist(), xB) if x != 0.0}
+        # a column can enter the basis twice; its weights add up
+        ids, at = np.unique(basis, return_inverse=True)
+        sums = np.bincount(at, xB, len(ids))
+        return {b: x for b, x in zip(ids.tolist(), sums) if x != 0.0}
 
     def diagnostics(**extra):
         return {**extra, "bland_pivots": bland_pivots,
@@ -216,6 +219,17 @@ def solve_column_lp(
             continue
 
         if pivots >= LP_PIVOT_CAP:
+            # re-solve a drifted iterate from its basis, by pseudo-inverse
+            # since a column may sit in it twice; else the start basis
+            B = work.matrix()[:, slot]
+            if np.abs(B @ xB - w).max(initial=0.0) > entering_tol:
+                Binv = np.linalg.pinv(B)
+                xB = Binv @ w
+                if not ((xB >= -entering_tol).all() and np.abs(
+                        B @ xB - w).max(initial=0.0) <= entering_tol):
+                    basis, slot, Binv, xB = start
+                _clean(xB)
+                pi = ones @ Binv
             return result("budget-exceeded")
 
         d = Binv @ work.column(enter)

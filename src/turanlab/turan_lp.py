@@ -20,8 +20,10 @@ and character columns are generated lazily, priced by one transform of
 the current iterate per round. Every feasible point of the column
 program is an upper bound for the constant, so even a budget-truncated
 run returns something rigorous. Certificates stay in the full space of
-negation pairs: each orbit's weight is spread over its pairs, and the
-spread certificate is checked as it would be without the reduction.
+negation pairs: two linear maps, an indexed add for the character
+columns and one product for the box columns, turn the basic weights
+into one weight per character pair, and that certificate is checked as
+it would be without the reduction.
 
 The character side of a problem, the character pairs, their orbits
 and the cosine table, depends only on the moduli and the kept swaps.
@@ -37,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import groupby
 
 import numpy as np
 
@@ -88,7 +89,8 @@ class LPProblem:
     ``dual_coords`` describe the negation pairs of characters (the
     trivial one first, then ascending), and a certificate holds one
     weight per character pair; row r covers the character pairs
-    ``row_order[row_start[r]:]`` up to the next row's start. The flat
+    ``row_order[row_start[r]:]`` up to the next row's start, and its
+    weight spreads over them in proportion to ``dual_sizes``. The flat
     indices ``pair_index``, ``pair_neg_index`` and ``row_index`` place
     the pairs and the rows' least characters in the group's enumeration
     for the whole-group transforms of pricing, the certificate and the
@@ -147,17 +149,6 @@ class LPProblem:
     def row_sizes(self) -> np.ndarray:
         """|R| per row: its characters, the sum of its pair sizes."""
         return np.add.reduceat(self.dual_sizes[self.row_order], self.row_start)
-
-    def orbit_pairs(self, o: int) -> range:
-        """The pairs of variable orbit o."""
-        last = o + 1 == self.n_vars
-        stop = len(self.sizes) if last else self.orbit_start[o + 1]
-        return range(self.orbit_start[o], stop)
-
-    def row_pairs(self, r: int) -> np.ndarray:
-        """The character pairs that row r covers."""
-        stop = self.row_start[r + 1] if r + 1 < self.n_rows else None
-        return self.row_order[self.row_start[r]:stop]
 
     @cached_property
     def dual_pairs(self) -> list[tuple[Element, int]]:
@@ -270,79 +261,47 @@ class LPSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _fold_boxes(problem: LPProblem, lam, run: list) -> None:
-    """Eliminate the weights of the box columns in ``run``, (column id,
-    mu) pairs, into character-pair weights.
-
-    Box column o (id o, or p + o for the minus sign) gives pair q of
-    orbit o the weight mu_q = mu * sizes[q] / |O|. The box constraint
-    f(0) -+ f(x_q) >= 0 is the average of character constraints with
-    coefficients (1 -+ Re gamma(x_q)) / |G|, all nonnegative, so mu_q
-    spreads over the character pairs without changing either
-    feasibility or the objective. One product of integer phases serves
-    every pair of the run; each pair's term is then added to ``lam`` in
-    turn, so every character pair's additions keep their order. The
-    arithmetic is that of ``lam``: for Fraction weights the +-1
-    character values are read as ints.
-    """
-    p = problem.n_vars
-    qs, coef, sign = [], [], []
-    for cid, mu in run:
-        o = cid % p
-        size = int(problem.orbit_sizes[o])
-        for q in problem.orbit_pairs(o):
-            qs.append(q)
-            coef.append(mu * int(problem.sizes[q]) / size / problem.group.order)
-            sign.append(1 if cid < p else -1)
-    re = problem._cos(problem.phase_x[qs] @ problem.dual_coords.T)
-    if lam.dtype == object:
-        re = re.astype(int)
-    terms = (np.array(coef, dtype=lam.dtype)[:, None] * problem.dual_sizes
-             * (1 - np.array(sign)[:, None] * re))
-    for term in terms:
-        lam += term
-
-
-def _spread_rows(problem: LPProblem, lam, run: list) -> None:
-    """Spread the weights mu of the character columns in ``run``, (row,
-    mu) pairs, over their rows' pairs with one indexed add: pair t of row
-    r gains mu * dual_sizes[t] / |R|. Rows are disjoint, so each pair
-    gains at most once, in the arithmetic of ``lam``."""
-    pairs = [problem.row_pairs(r) for r, _mu in run]
-    counts = [len(t) for t in pairs]
-
-    def each(values):
-        return np.repeat(np.array(values, dtype=lam.dtype), counts)
-
-    t = np.concatenate(pairs)
-    mu = each([mu for _r, mu in run])
-    size = each([int(problem.row_sizes[r]) for r, _mu in run])
-    lam[t] += mu * problem.dual_sizes[t].astype(lam.dtype) / size
-
-
 def _certificate_from_weights(problem: LPProblem, weights: dict, exact: bool):
-    """Nonnegative weight per character pair, from the basic column weights
-    (Fractions when ``exact``, floats otherwise).
+    """Nonnegative weight per character pair from the basic column weights,
+    in Fractions when ``exact`` and floats otherwise, by two linear maps.
 
-    Character column r spreads its weight mu over the pairs of row r in
-    proportion to their sizes, mu * dual_sizes[t] / |R|; box column o
-    folds mu * sizes[q] / |O| for each pair q of orbit o. Either way the
-    pairs' constraints add up to the orbit's, and the weights still sum
-    to mu. Each run of consecutive character columns is spread at once,
-    and each run of consecutive box columns is folded at once, so every
-    pair's additions keep their order.
+    Character column r gives pair t of row r the weight mu * dual_sizes[t]
+    / |R|; rows are disjoint, so one indexed add serves them all. Box
+    column o (id o, or p + o for the minus sign) gives pair q of orbit o
+    the weight c_q = mu * sizes[q] / |O|, and the box constraint
+    f(0) -+ f(x_q) >= 0 is the average of the character constraints with
+    coefficients (1 -+ Re gamma(x_q)) / |G| >= 0, so one product with the
+    cosines of every box pair folds them all, the +-1 cosines read as ints
+    for Fractions. Either way the weights still sum to mu.
     """
     p = problem.n_vars
-    if exact:
-        lam = np.array([Fraction(0)] * len(problem.dual_index), dtype=object)
-    else:
-        lam = np.zeros(len(problem.dual_index))
-    nonzero = [(cid, mu) for cid, mu in weights.items() if mu != 0]
-    for is_row, run in groupby(nonzero, key=lambda item: item[0] >= 2 * p):
-        if is_row:
-            _spread_rows(problem, lam, [(cid - 2 * p, mu) for cid, mu in run])
-        else:
-            _fold_boxes(problem, lam, list(run))
+    zero = Fraction(0) if exact else 0.0
+    lam = np.full(len(problem.dual_index), zero, object if exact else float)
+    dtype = lam.dtype
+    col = np.full(2 * p + problem.n_rows, zero, dtype)
+    basic = {cid: mu for cid, mu in weights.items() if mu != 0}
+    col[list(basic)] = list(basic.values())
+
+    rows = col[2 * p:]
+    on = rows != 0
+    counts = np.diff(problem.row_start, append=len(problem.row_order))
+    # every pair t of every row r that has a weight, in row order
+    t = problem.row_order[np.repeat(on, counts)]
+    r = np.repeat(np.flatnonzero(on), counts[on])
+    lam[t] += (rows[r] * problem.dual_sizes[t].astype(dtype)
+               / problem.row_sizes[r].astype(dtype))
+
+    boxes = col[:2 * p].reshape(2, p)
+    qs = np.flatnonzero((boxes != 0).any(axis=0)[problem.pair_orbit])
+    if qs.size:
+        o = problem.pair_orbit[qs]
+        c = (boxes[:, o] * problem.sizes[qs].astype(dtype)
+             / problem.orbit_sizes[o].astype(dtype))
+        re = problem._cos(problem.phase_x[qs] @ problem.dual_coords.T)
+        if exact:
+            re = re.astype(int)
+        lam += (problem.dual_sizes.astype(dtype) * (c.sum() - (c[0] - c[1]) @ re)
+                / problem.group.order)
     return lam
 
 

@@ -475,6 +475,36 @@ def test_exit_code_wrong_type_in_problem_field(tmp_path, capsys, doc,
     assert message in err and "internal error" not in err
 
 
+@pytest.mark.parametrize("doc, message", [
+    (dict(_Z8, moduli=[8.5]), "moduli"),
+    (dict(_Z8, moduli=[True, 2], domain=[[0, 0]]), "moduli"),
+    (dict(_Z8, domain=[0, True]), "domain[1]"),
+    (dict(_Z8, budget={"node_limit": 2.5}), "budget.node_limit"),
+    (dict(_Z8, budget={"node_limit": "abc"}), "budget.node_limit"),
+    (dict(_Z8, budget={"node_limit": None}), "budget.node_limit"),
+    (dict(_Z8, budget={"node_limit": True}), "budget.node_limit"),
+    (dict(_Z8, budget={"time_limit": "abc"}), "budget.time_limit"),
+    (dict(_Z8, tolerances={"feasibility": "x"}), "tolerances.feasibility"),
+    (dict(_Z8, tolerances={"feasibility": -1}), "tolerances.feasibility"),
+    (dict(_Z8, tolerances={"reporting": False}), "tolerances.reporting"),
+    (dict(_INTERVAL, dimension=True), "dimension"),
+    (dict(_INTERVAL, hints={"Lambda": {"basis": [[True]], "residues": [0]}}),
+     "hints.Lambda: basis"),
+], ids=["fractional-modulus", "boolean-modulus", "boolean-coordinate",
+        "fractional-node-limit", "string-node-limit", "null-node-limit",
+        "boolean-node-limit", "string-time-limit", "string-feasibility",
+        "negative-feasibility", "boolean-reporting", "boolean-dimension",
+        "boolean-basis"])
+def test_exit_code_problem_numbers_are_read_strictly(tmp_path, capsys, doc,
+                                                     message):
+    # a number of the wrong kind is refused, not truncated or read as
+    # 0 and 1 (JSON true and false are Python ints), and not left to fail
+    # later as an internal error or a failed verification
+    code, out, err = run(capsys, "turan", problem(tmp_path, doc))
+    assert code == 1 and out == ""
+    assert message in err and "internal error" not in err
+
+
 def test_trivial_subgroup_hint_stays_valid(tmp_path, capsys):
     # no generators give the trivial subgroup, a valid K
     code, out, _ = run(capsys, "turan",

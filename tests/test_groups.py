@@ -39,6 +39,18 @@ def test_make_group_rejects_bad_moduli():
         make_group([-2])
 
 
+@pytest.mark.parametrize("modulus", [8.5, 2.0, "3", None])
+def test_make_group_refuses_a_modulus_that_is_not_an_integer(modulus):
+    # the operator.index rule of periodic_set: nothing is truncated
+    with pytest.raises(ValueError, match="integers"):
+        make_group([2, modulus])
+
+
+def test_make_group_takes_numpy_integers():
+    assert make_group(np.array([2, 3])).moduli == (2, 3)
+    assert all(type(m) is int for m in make_group(np.array([4])).moduli)
+
+
 def test_arithmetic_hand_cases():
     G = make_group([6])
     assert G.add((4,), (5,)) == (3,)

@@ -402,10 +402,22 @@ def _orbit_union_domain(rng, G, seeds):
     return symmetric_domain(G, _closure(G, start, _random_swaps(rng, G.moduli)))
 
 
+def _pairs_of_orbit(prob, o):
+    """The pairs of variable orbit o, read off ``orbit_start``."""
+    stop = np.append(prob.orbit_start, len(prob.sizes))[o + 1]
+    return range(prob.orbit_start[o], stop)
+
+
+def _pairs_of_row(prob, r):
+    """The character pairs of row r, read off ``row_start``."""
+    stop = np.append(prob.row_start, len(prob.row_order))[r + 1]
+    return prob.row_order[prob.row_start[r]:stop]
+
+
 def _orbit_pairs(prob):
     """The pairs of each variable orbit, in order."""
     return [[(prob.group.element(int(prob.pair_index[q])), int(prob.sizes[q]))
-             for q in prob.orbit_pairs(o)]
+             for q in _pairs_of_orbit(prob, o)]
             for o in range(prob.n_vars)]
 
 
@@ -689,7 +701,7 @@ def test_symmetries_match_a_brute_force_orbit_closure():
             members = {y for x, _s in orbit for y in (x, G.neg(x))}
             assert members == _closure(G, [orbit[0][0]], kept)
         for r, t in enumerate(prob.row_index.tolist()):
-            chars = {y for q in prob.row_pairs(r).tolist()
+            chars = {y for q in _pairs_of_row(prob, r).tolist()
                      for y in (G.element(int(prob.dual_index[q])),
                                G.neg(G.element(int(prob.dual_index[q]))))}
             assert chars == _closure(G, [G.element(t)], kept)
@@ -783,23 +795,114 @@ def _spread_per_pair(problem, weights, exact):
         if cid >= 2 * p:
             r = cid - 2 * p
             size = int(problem.row_sizes[r])
-            for t in problem.row_pairs(r).tolist():
+            for t in _pairs_of_row(problem, r).tolist():
                 lam[t] += mu * int(problem.dual_sizes[t]) / size
             continue
         o = cid % p
         size = int(problem.orbit_sizes[o])
-        for q in problem.orbit_pairs(o):
+        for q in _pairs_of_orbit(problem, o):
             _fold_per_pair(problem, lam, q, mu * int(problem.sizes[q]) / size,
                            1 if cid < p else -1)
     return lam
 
 
-def test_row_spread_matches_the_per_pair_loop():
-    """Runs of character columns spread at once give the bits of one add
-    per pair, in float and in Fractions, with box columns between runs
-    and zero weights skipped."""
+def _assert_matches_per_pair(prob, weights, exact, where):
+    """The certificate of two linear maps against the per-pair loop.
+
+    Fractions are exact, so the two agree in value and in type. In float,
+    the loop adds each entry's terms one at a time: at most one row term
+    and one term per box pair, k in all, every term and every partial sum
+    in [0, max|want|]. The two maps form the same terms in one indexed
+    add and one product. Round to nearest makes each addition exact to
+    half an ulp of its result, and the errors of independent additions
+    grow like sqrt(k) rather than k (Higham and Mary, SIAM J. Sci.
+    Comput. 41, 2019), so the two entries stay within sqrt(k) ulps of
+    max(1, max|want|). With k <= 64 that is never looser than 8 ulps.
+    """
     from turanlab.turan_lp import _certificate_from_weights
 
+    got = _certificate_from_weights(prob, weights, exact)
+    want = _spread_per_pair(prob, weights, exact)
+    assert got.dtype == want.dtype
+    if exact:
+        assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
+        return got, want
+    p = prob.n_vars
+    k = 1 + sum(len(_pairs_of_orbit(prob, cid % p))
+                for cid, mu in weights.items() if cid < 2 * p and mu)
+    assert k <= 64, f"{where}: {k} terms"
+    scale = max(1.0, np.abs(want).max(initial=0.0))
+    err = np.abs(got - want).max(initial=0.0)
+    assert err <= math.sqrt(k) * np.finfo(float).eps * scale, \
+        f"{where}: {err / (np.finfo(float).eps * scale):.2f} ulps, k = {k}"
+    return got, want
+
+
+def _random_weights(rng, ids, exact):
+    """A weight per column id, one in ten of them zero."""
+    weights = {}
+    for cid in ids:
+        if rng.random() < 0.1:
+            weights[cid] = 0
+        elif exact:
+            weights[cid] = Fraction(rng.randint(1, 99), rng.randint(1, 99))
+        else:
+            weights[cid] = rng.random() * 10 ** rng.randint(-3, 3)
+    return weights
+
+
+def _solved_bases(monkeypatch, rng, count):
+    """(problem, basic weights, exact) of real solves on orbit unions and
+    on subgroups of Z_2^k and Z_3^k, in float and, on Z_2^k, proven in
+    Fractions. A subgroup K is optimal at the start basis, |K| with f the
+    indicator of K, so its basis holds box columns only, as in the
+    0-pivot subgroup solves of a bound comparison."""
+    from turanlab import turan_lp
+
+    results = []
+    solve = turan_lp.solve_column_lp
+
+    def keeping(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(turan_lp, "solve_column_lp", keeping)
+    for case in range(count):
+        G = make_group([rng.choice([2, 3])] * rng.randint(2, 6))
+        if case % 3 == 0:
+            K = tl.subgroup_generated(G, rng.sample(G.elements(), 2))
+            dom = symmetric_domain(G, K.elements)
+        else:
+            dom = _orbit_union_domain(rng, G, rng.randint(1, 6))
+        prob = build_lp_problem(G, dom)
+        if prob.n_vars == 0:
+            continue
+        assert solve_lp(prob).status == "optimal"
+        yield prob, results[-1].weights, False
+        if set(G.moduli) == {2}:
+            yield prob, turan_lp._exact_basis(prob, results[-1].basis)[0], True
+
+
+def _check_solved_bases(monkeypatch, seed):
+    """Both certificates of every solved basis pass the checker; returns
+    how many bases held box columns only."""
+    box_only = 0
+    for prob, weights, exact in _solved_bases(monkeypatch,
+                                              random.Random(seed), 30):
+        where = f"{prob.group.moduli} exact={exact}"
+        for lam in _assert_matches_per_pair(prob, weights, exact, where):
+            bound = verify_dual_certificate(prob, lam)
+            assert abs(float(bound) - (1 + float(sum(weights.values())))) \
+                <= 1e-9 * prob.group.order, where
+        box_only += all(cid < 2 * prob.n_vars for cid in weights)
+    return box_only
+
+
+def test_row_spread_matches_the_per_pair_loop(monkeypatch):
+    """Character columns spread by one indexed add match one add per pair:
+    equal Fractions, floats within the rounding of the per-pair order,
+    with box columns between runs of rows and zero weights skipped. The
+    certificates of solved bases pass the checker either way."""
     rng = random.Random(90417)
     shapes = [[2] * k for k in range(3, 8)] + [[3] * 4, [3, 3, 3, 2], [4] * 3]
     interleaved = fractions = 0
@@ -818,31 +921,20 @@ def test_row_spread_matches_the_per_pair_loop():
         rng.shuffle(ids)
         kinds = "".join("r" if cid >= 2 * p else "b" for cid in ids)
         interleaved += "rrbr" in kinds or "rbrr" in kinds
-        weights = {}
-        for cid in ids:
-            if rng.random() < 0.1:
-                weights[cid] = 0
-            elif exact:
-                weights[cid] = Fraction(rng.randint(1, 99), rng.randint(1, 99))
-            else:
-                weights[cid] = rng.random() * 10 ** rng.randint(-3, 3)
-        got = _certificate_from_weights(prob, weights, exact)
-        want = _spread_per_pair(prob, weights, exact)
-        assert got.dtype == want.dtype
-        if exact:
-            assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
-        else:
-            assert got.tobytes() == want.tobytes(), f"case {case}: {G.moduli}"
+        _assert_matches_per_pair(prob, _random_weights(rng, ids, exact),
+                                 exact, f"case {case}: {G.moduli}")
     assert interleaved >= 10, "too few box columns between row runs"
     assert fractions >= 10, "too few cases with Fraction weights"
+    assert _check_solved_bases(monkeypatch, 90421) >= 10, \
+        "too few bases of box columns only"
 
 
-def test_box_fold_matches_the_per_pair_loop():
-    """Runs of box columns folded at once give the bits of one fold per
-    pair, in float and in Fractions: runs of several box columns between
-    runs of character columns, and box orbits of several pairs."""
-    from turanlab.turan_lp import _certificate_from_weights
-
+def test_box_fold_matches_the_per_pair_loop(monkeypatch):
+    """Box columns folded by one product match one fold per pair: equal
+    Fractions, floats within the rounding of the per-pair order, with
+    several box columns between runs of rows and box orbits of several
+    pairs. The certificates of solved bases pass the checker either
+    way."""
     rng = random.Random(90418)
     shapes = [[2] * k for k in range(3, 8)] + [[3] * 4, [3, 3, 3, 2], [4] * 3]
     box_runs = multi_pair = fractions = 0
@@ -861,26 +953,15 @@ def test_box_fold_matches_the_per_pair_loop():
         rng.shuffle(ids)
         kinds = "".join("r" if cid >= 2 * p else "b" for cid in ids)
         box_runs += "rbbr" in kinds or "rbbbr" in kinds
-        multi_pair += sum(len(prob.orbit_pairs(cid % p)) > 1
+        multi_pair += sum(len(_pairs_of_orbit(prob, cid % p)) > 1
                           for cid in ids if cid < 2 * p)
-        weights = {}
-        for cid in ids:
-            if rng.random() < 0.1:
-                weights[cid] = 0
-            elif exact:
-                weights[cid] = Fraction(rng.randint(1, 99), rng.randint(1, 99))
-            else:
-                weights[cid] = rng.random() * 10 ** rng.randint(-3, 3)
-        got = _certificate_from_weights(prob, weights, exact)
-        want = _spread_per_pair(prob, weights, exact)
-        assert got.dtype == want.dtype
-        if exact:
-            assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
-        else:
-            assert got.tobytes() == want.tobytes(), f"case {case}: {G.moduli}"
+        _assert_matches_per_pair(prob, _random_weights(rng, ids, exact),
+                                 exact, f"case {case}: {G.moduli}")
     assert box_runs >= 10, "too few runs of box columns between row runs"
     assert multi_pair >= 10, "too few box orbits of several pairs"
     assert fractions >= 10, "too few cases with Fraction weights"
+    assert _check_solved_bases(monkeypatch, 90422) >= 10, \
+        "too few bases of box columns only"
 
 
 def _count_transforms(monkeypatch):
@@ -946,6 +1027,47 @@ def test_exact_and_budget_solves_transform_their_own_witness(monkeypatch):
     assert len(inputs) == sol.diagnostics["pricing_rounds"] + 2
     f, _primal = turan_lp._mixed_witness(sol.problem, results[-1].pi)
     assert f.values.tobytes() == sol.f.values.tobytes()
+
+
+# Z_2^8 domains, as masks of flat indices, whose solves still pivot at
+# 3 000 pivots, their constants (HiGHS) and the bounds reported at that
+# cap. In the first, a column has entered the basis twice and its two
+# weights add up. In the second, a column has entered twice and the
+# iterate has drifted from that singular basis; in the third it has
+# drifted 1.6e-4 from a regular one. Both are solved again from their
+# basis.
+_CAPPED_DOMAINS = [
+    (0x97f7febe7ffabfeb7fec879ee9cfff5dd9b89bdd17e8fa7e66095a3bdd867697,
+     24.757939685081407, 48.000000000324064),
+    (0xb9f7f603f0e6cec4388dfb6d22ab3dbedba569deff65bf4ff77cabbcfd05dfb,
+     22.3340811747909, 32.00000000000005),
+    (0xefbb71103566cd47a109c9590f272777ee6e2fb10e5ca37dbc7267b6ec73b8dd,
+     18.943361188486627, 58.295982464429294),
+]
+
+
+@pytest.mark.parametrize("mask, constant, reported", _CAPPED_DOMAINS,
+                         ids=["repeated-column", "drifted-singular",
+                              "drifted"])
+def test_a_solve_cut_at_the_pivot_cap_returns_a_checked_bound(
+        monkeypatch, mask, constant, reported):
+    """Budgets are statuses: a solve cut at the pivot cap returns
+    budget-exceeded, in float and in exact mode, with a certificate the
+    checker accepts for a bound at least the constant, and a witness at
+    most the constant."""
+    from turanlab import simplex
+
+    monkeypatch.setattr(simplex, "LP_PIVOT_CAP", 3000)
+    G = make_group([2] * 8)
+    dom = symmetric_domain(G, [G.element(i) for i in range(G.order)
+                               if mask >> i & 1])
+    for mode in ("float", "exact-rational"):
+        sol = turan_constant(G, dom, mode=mode)
+        assert sol.status == "budget-exceeded" and sol.exact_value is None
+        assert verify_dual_certificate(sol.problem, sol.dual) == sol.value
+        assert sol.value >= constant - 1e-6
+        assert abs(sol.value - reported) <= 1e-6
+        assert witness_ratio(sol.f, dom).as_float() <= constant + 1e-6
 
 
 def test_character_side_is_shared_per_group():
