@@ -69,8 +69,11 @@ def check_packing_set(group: FiniteAbelianGroup, domain: SymmetricDomain,
                       lam) -> tuple[bool, tuple[Element, Element] | None]:
     """Returns (ok, first violating pair): the element at the smallest
     position of lam that clashes with an earlier one, and its earliest
-    partner. Repeats do not clash. Each element's translates by Omega are
-    looked up in a position array of lam: O(|lam| |Omega| + |G|) time.
+    partner. Repeats do not clash. The translates of lam by Omega minus
+    0 are looked up in a position array of lam as one (|Omega| - 1) x
+    |lam| block: O(|lam| |Omega| + |G|) time and memory. Without repeats
+    |lam| <= |G|, so the block is no larger than the shift table that
+    ``max_packing_set`` builds for the group.
     """
     elems = [group.canon(x) for x in lam]
     idx = np.array([group.index(x) for x in elems], dtype=np.int64)
@@ -79,12 +82,11 @@ def check_packing_set(group: FiniteAbelianGroup, domain: SymmetricDomain,
     first = np.full(group.order, n_lam, dtype=np.int64)
     values, where = np.unique(idx, return_index=True)
     first[values] = where
-    clash = np.full(n_lam, n_lam, dtype=np.int64)
-    # one translate at a time keeps memory at O(|lam|) for large domains
-    for x in domain.elements - {group.identity()}:
-        earlier = first[translate(group.moduli, idx, group.index(x))]
-        earlier[earlier >= np.arange(n_lam)] = n_lam
-        np.minimum(clash, earlier, out=clash)
+    omega = np.array([group.index(x) for x in
+                      domain.elements - {group.identity()}], dtype=np.int64)
+    earlier = first[translate(group.moduli, idx[None, :], omega[:, None])]
+    earlier[earlier >= np.arange(n_lam)] = n_lam
+    clash = earlier.min(axis=0, initial=n_lam)
     bad = np.flatnonzero(clash < n_lam)
     if bad.size == 0:
         return True, None

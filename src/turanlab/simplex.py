@@ -15,9 +15,10 @@ many columns the caller generates.
 All state lives in float numpy arrays:
     working set  a preallocated p x capacity matrix with an ``ids``
                  array beside it. The first n slots are in use and the
-                 capacity doubles when they fill up, so adding a column
-                 copies only that column; the loop reads the matrix as a
-                 view of the used slots.
+                 capacity doubles when they fill up. A pricing batch,
+                 less the ids already held, joins in one block copy;
+                 the loop reads the matrix and the ids as views of the
+                 used slots, bound again after each intake.
     basis        the basic column ids and their working-set slots, both
                  overwritten at the leaving position on each pivot. The
                  multipliers are ``ones @ Binv``; the objective is the
@@ -26,10 +27,12 @@ All state lives in float numpy arrays:
 Pivoting: Dantzig entering with a largest-pivot tie-break; Bland's
 anti-cycling rule (lowest column id) takes over after a stall of
 ``STALL_LIMIT`` pivots without progress and hands back at the next
-strict decrease. A leaving row needs a basis direction above
-``PIVOT_TOL``: smaller entries are within the rounding of the updated
-inverse, and Bland's lowest-id tie-break would otherwise pivot on such
-a rounded zero and make the basis singular.
+strict decrease. A basic column's reduced cost is zeroed before either
+choice: it is 0 in exact arithmetic, and drift would otherwise let a
+column enter the basis a second time. A leaving row needs a basis
+direction above ``PIVOT_TOL``: smaller entries are within the rounding
+of the updated inverse, and Bland's lowest-id tie-break would otherwise
+pivot on such a rounded zero and make the basis singular.
 
 Drift: the product-form updates of ``Binv`` and ``xB`` accumulate
 rounding. Before each pricing round that follows a pivot, the residuals
@@ -46,9 +49,11 @@ Termination statuses:
                      unbounded (lam >= 0 gives sum lam >= 0), so this
                      only reports a numerically unusable direction
     budget-exceeded  ``LP_PIVOT_CAP`` pivots done; an iterate that drifted
-                     from its basis is re-solved from the basis columns,
-                     or replaced by the start basis when they give no
-                     nonnegative solution, so the weights are feasible
+                     from its basis is re-solved from the basis columns
+                     by pseudo-inverse, as drift may have left them
+                     singular, or replaced by the start basis when they
+                     give no nonnegative solution, so the weights are
+                     feasible
 """
 from __future__ import annotations
 
@@ -95,18 +100,23 @@ class _Working:
         self._mat[q, 2 * q + 1] = -1.0
         self._ids = np.empty(capacity, dtype=np.int64)
         self._ids[:2 * p] = np.column_stack((q, p + q)).ravel()
-        self.pos_of = dict(zip(self._ids[:2 * p].tolist(), range(2 * p)))
+        self.seen = set(self._ids[:2 * p].tolist())
 
-    def add(self, cid: int, vec):
-        if cid in self.pos_of:
-            return
-        n = self.n
-        if n == len(self._ids):
+    def extend(self, columns: Sequence[Column]):
+        """Append the columns whose ids are new, in one block copy."""
+        ids, vecs = [], []
+        for cid, vec in columns:
+            if cid not in self.seen:
+                self.seen.add(cid)
+                ids.append(cid)
+                vecs.append(vec)
+        n, m = self.n, self.n + len(ids)
+        while m > len(self._ids):
             self._mat, self._ids = self._grown(self._mat), self._grown(self._ids)
-        self._mat[:, n] = vec
-        self._ids[n] = cid
-        self.pos_of[cid] = n
-        self.n = n + 1
+        if ids:
+            self._mat[:, n:m].T[:] = vecs
+            self._ids[n:m] = ids
+        self.n = m
 
     def _grown(self, a: np.ndarray) -> np.ndarray:
         out = np.empty(a.shape[:-1] + (2 * a.shape[-1],), dtype=a.dtype)
@@ -116,9 +126,6 @@ class _Working:
     def matrix(self) -> np.ndarray:
         return self._mat[:, :self.n]
 
-    def column(self, pos: int) -> np.ndarray:
-        return self._mat[:, pos]
-
     @property
     def ids(self) -> np.ndarray:
         return self._ids[:self.n]
@@ -126,11 +133,6 @@ class _Working:
 
 class SingularBasisError(RuntimeError):
     """The float basis inverse degraded to non-finite entries."""
-
-
-def _clean(xB: np.ndarray) -> None:
-    """Zero the negative and rounding-level basic values."""
-    xB[xB < 1e-13] = 0.0
 
 
 def solve_column_lp(
@@ -148,8 +150,9 @@ def solve_column_lp(
     p = len(w)
 
     work = _Working(p, max(16, 2 * (2 * p + len(initial_columns))))
-    for cid, vec in initial_columns:
-        work.add(cid, vec)
+    work.extend(initial_columns)
+    # views of the working set, bound again after each intake
+    M, ids = work.matrix(), work.ids
 
     # start basis, kept whole: for each row q the box column of sign sgn(w_q)
     q = np.arange(p)
@@ -170,13 +173,10 @@ def solve_column_lp(
 
     def objective():
         # the running sum adds the basic values left to right, like a loop
-        return np.cumsum(xB)[-1] if p else 0.0
+        return xB.cumsum()[-1] if p else 0.0
 
     def weights():
-        # a column can enter the basis twice; its weights add up
-        ids, at = np.unique(basis, return_inverse=True)
-        sums = np.bincount(at, xB, len(ids))
-        return {b: x for b, x in zip(ids.tolist(), sums) if x != 0.0}
+        return {b: x for b, x in zip(basis.tolist(), xB) if x != 0.0}
 
     def diagnostics(**extra):
         return {**extra, "bland_pivots": bland_pivots,
@@ -188,10 +188,13 @@ def solve_column_lp(
 
     while True:
         pi = ones @ Binv
-        rc = 1.0 - pi @ work.matrix()
+        rc = 1.0 - pi @ M
+        # a basic column's reduced cost is 0 up to drift, and it never
+        # enters again
+        rc[slot] = 0.0
         if bland:
             cand = (rc < -entering_tol).nonzero()[0]
-            enter = int(cand[work.ids[cand].argmin()]) if len(cand) else -1
+            enter = int(cand[ids[cand].argmin()]) if len(cand) else -1
         else:
             enter = int(rc.argmin())
             if not rc[enter] < -entering_tol:
@@ -199,7 +202,7 @@ def solve_column_lp(
         if enter < 0:
             if not checked:
                 checked = True
-                B = work.matrix()[:, slot]
+                B = M[:, slot]
                 drift = max(np.abs(B @ xB - w).max(initial=0.0),
                             np.abs(pi @ B - 1.0).max(initial=0.0))
                 if drift > entering_tol:
@@ -208,39 +211,40 @@ def solve_column_lp(
                     except np.linalg.LinAlgError as e:
                         raise SingularBasisError("basis matrix is singular") from e
                     xB = Binv @ w
-                    _clean(xB)
+                    xB[xB < 1e-13] = 0.0
                     continue
             pricing_rounds += 1
             fresh = price(pi)
             if not fresh:
                 return result("optimal")
-            for cid, vec in fresh:
-                work.add(cid, vec)
+            work.extend(fresh)
+            M, ids = work.matrix(), work.ids
             continue
 
         if pivots >= LP_PIVOT_CAP:
-            # re-solve a drifted iterate from its basis, by pseudo-inverse
-            # since a column may sit in it twice; else the start basis
-            B = work.matrix()[:, slot]
+            # re-solve a drifted iterate from its basis, else the start basis
+            B = M[:, slot]
             if np.abs(B @ xB - w).max(initial=0.0) > entering_tol:
                 Binv = np.linalg.pinv(B)
                 xB = Binv @ w
                 if not ((xB >= -entering_tol).all() and np.abs(
                         B @ xB - w).max(initial=0.0) <= entering_tol):
                     basis, slot, Binv, xB = start
-                _clean(xB)
+                xB[xB < 1e-13] = 0.0
                 pi = ones @ Binv
             return result("budget-exceeded")
 
-        d = Binv @ work.column(enter)
+        d = Binv @ M[:, enter]
         eligible = (d > PIVOT_TOL).nonzero()[0]
         if not len(eligible):
             return ColumnLPResult("infeasible", None, None, {}, pivots,
-                                  diagnostics(entering=int(work.ids[enter])))
+                                  diagnostics(entering=int(ids[enter])))
         ratios = xB[eligible] / d[eligible]
         rmin = ratios.min()
         ties = eligible[ratios <= rmin * (1 + 1e-9) + 1e-15]
-        if bland:
+        if len(ties) == 1:
+            leave = int(ties[0])
+        elif bland:
             leave = int(ties[basis[ties].argmin()])
         else:
             # largest |d|, then the lowest basis id
@@ -249,14 +253,17 @@ def solve_column_lp(
             leave = int(top[basis[top].argmin()])
 
         # pivot: replace basis[leave] by the entering column
-        theta = xB[leave] / d[leave]
+        dl = d[leave]
+        theta = xB[leave] / dl
         xB -= d * theta
-        _clean(xB)
+        # zero the negative and rounding-level basic values
+        xB[xB < 1e-13] = 0.0
         xB[leave] = theta
-        Binv[leave] /= d[leave]
+        row = Binv[leave]
+        row /= dl
         d[leave] = 0.0
-        Binv -= np.multiply.outer(d, Binv[leave])
-        basis[leave] = work.ids[enter]
+        Binv -= np.multiply.outer(d, row)
+        basis[leave] = ids[enter]
         slot[leave] = enter
         pivots += 1
         if bland:
@@ -267,7 +274,7 @@ def solve_column_lp(
             np.isfinite(Binv).all() and np.isfinite(xB).all()
         ):
             raise SingularBasisError("basis inverse lost finiteness")
-        obj = float(objective())
+        obj = float(xB.cumsum()[-1])
         if last_obj is not None and obj >= last_obj - 1e-12:
             stall += 1
             if stall >= STALL_LIMIT:

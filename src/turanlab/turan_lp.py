@@ -463,8 +463,12 @@ def solve_lp(problem: LPProblem, mode: str = "float",
         priced.update(pi=pi, fhat=fhat)
         rc = fhat[problem.row_index]
         # violated rows not offered yet, by (rc, r): a stable sort of the
-        # ascending candidate indices breaks rc ties by the lower row
+        # ascending candidate indices breaks rc ties by the lower row. Only
+        # rows with rc up to the 32nd smallest can be offered, and keeping
+        # just those keeps their order
         cand = np.flatnonzero((rc < -tol) & ~offered)
+        if len(cand) > 32:
+            cand = cand[rc[cand] <= np.partition(rc[cand], 31)[31]]
         take = cand[np.argsort(rc[cand], kind="stable")][:32]
         offered[take] = True
         return list(zip((2 * p + take).tolist(), -problem.row(take)))

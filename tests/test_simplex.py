@@ -333,3 +333,35 @@ def test_drifting_inverse_is_rebuilt_before_pricing(monkeypatch):
         assert abs(res.objective - float(want)) <= 1e-9, \
             f"case {case}: solver {res.objective} oracle {float(want)}"
         _check_primal(res, w, cols, 1e-9)
+
+
+def test_dantzig_ratio_tie_leaves_by_largest_direction_then_lowest_id():
+    # w = (1, -2, 2) starts from the basis ids (0, 4, 2) with xB = (1, 2, 2)
+    # and Binv = diag(1, -1, 1). Column 100 = w enters (rc 1 - 5 = -4)
+    # with d = (1, 2, 2), so all three rows tie at ratio 1. Rows 1 and 2
+    # share the largest |d|, and row 2 holds the lower basis id; row 0
+    # holds the lowest id of all but a smaller |d|.
+    res = solve_column_lp(np.array([1.0, -2.0, 2.0]), [(100, [1.0, -2.0, 2.0])],
+                          lambda pi: [])
+    assert res.status == "optimal" and res.pivots == 1
+    assert res.basis == [0, 4, 100]
+    assert res.weights == {100: 1.0}
+
+
+def test_working_set_takes_a_batch_as_one_block():
+    """Ids already held and ids repeated within the batch are skipped, the
+    first copy of a repeat is kept, and a batch that overflows the
+    capacity grows the set."""
+    import turanlab.simplex as simplex
+
+    work = simplex._Working(2, 6)
+    work.extend([(10, [1.0, 2.0]), (0, [9.0, 9.0]), (11, [3.0, 4.0]),
+                 (10, [8.0, 8.0]), (12, [5.0, 6.0])])
+    assert work.ids.tolist() == [0, 2, 1, 3, 10, 11, 12]
+    assert work.matrix().T.tolist() == [[1, 0], [-1, 0], [0, 1], [0, -1],
+                                        [1, 2], [3, 4], [5, 6]]
+    assert work.matrix().shape == (2, 7) and len(work._ids) == 12
+    work.extend([(12, [7.0, 7.0]), (13, [0.5, -0.5])])
+    work.extend([])
+    assert work.ids.tolist() == [0, 2, 1, 3, 10, 11, 12, 13]
+    assert work.matrix()[:, -1].tolist() == [0.5, -0.5]

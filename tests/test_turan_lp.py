@@ -566,6 +566,41 @@ def test_price_offers_rows_once_in_rc_order(monkeypatch, k, mode):
         assert capped, "no round had more than 32 violated rows"
 
 
+def test_price_offers_the_head_of_a_full_stable_sort(monkeypatch):
+    """Every round offers exactly the first 32 rows of a stable sort by rc
+    of all violated rows not offered yet. rc is recomputed here by the
+    callback's own transform, so the comparison is exact; one round has
+    more than 32 violated rows and a tie across its 32nd rc."""
+    from turanlab import turan_lp
+
+    G, dom = _pricing_domain(8)
+    prob = build_lp_problem(G, dom)
+    real = turan_lp.solve_column_lp
+    tied = []
+
+    def spy(w, initial, price, **kwargs):
+        offered = np.zeros(prob.n_rows, dtype=bool)
+
+        def checking(pi):
+            fhat = turan_lp._axis_transform(turan_lp._embed(prob, pi),
+                                            G.moduli, False).real
+            rc = fhat[prob.row_index]
+            cand = np.flatnonzero((rc < -1e-9) & ~offered)
+            want = cand[np.argsort(rc[cand], kind="stable")]
+            out = price(pi)
+            got = [cid - 2 * len(w) for cid, _v in out]
+            assert got == want[:32].tolist()
+            offered[got] = True
+            tied.append(len(want) > 32 and rc[want[31]] == rc[want[32]])
+            return out
+
+        return real(w, initial, checking, **kwargs)
+
+    monkeypatch.setattr(turan_lp, "solve_column_lp", spy)
+    assert solve_lp(prob).status == "optimal"
+    assert any(tied), "no round tied across its 32nd rc"
+
+
 def _random_product_group(rng):
     """Z_2^k, Z_3^k or Z_4^k, or a product of mixed moduli; rank 1 to 12,
     order at most 4096."""
@@ -1031,24 +1066,18 @@ def test_exact_and_budget_solves_transform_their_own_witness(monkeypatch):
 
 # Z_2^8 domains, as masks of flat indices, whose solves still pivot at
 # 3 000 pivots, their constants (HiGHS) and the bounds reported at that
-# cap. In the first, a column has entered the basis twice and its two
-# weights add up. In the second, a column has entered twice and the
-# iterate has drifted from that singular basis; in the third it has
-# drifted 1.6e-4 from a regular one. Both are solved again from their
-# basis.
+# cap. In the first, Bland's rule has stalled at 48. In the second, the
+# iterate has drifted 1.6e-4 from its basis and is solved again from it.
 _CAPPED_DOMAINS = [
     (0x97f7febe7ffabfeb7fec879ee9cfff5dd9b89bdd17e8fa7e66095a3bdd867697,
-     24.757939685081407, 48.000000000324064),
-    (0xb9f7f603f0e6cec4388dfb6d22ab3dbedba569deff65bf4ff77cabbcfd05dfb,
-     22.3340811747909, 32.00000000000005),
+     24.757939685081407, 48.000000000000334),
     (0xefbb71103566cd47a109c9590f272777ee6e2fb10e5ca37dbc7267b6ec73b8dd,
      18.943361188486627, 58.295982464429294),
 ]
 
 
 @pytest.mark.parametrize("mask, constant, reported", _CAPPED_DOMAINS,
-                         ids=["repeated-column", "drifted-singular",
-                              "drifted"])
+                         ids=["stalled", "drifted"])
 def test_a_solve_cut_at_the_pivot_cap_returns_a_checked_bound(
         monkeypatch, mask, constant, reported):
     """Budgets are statuses: a solve cut at the pivot cap returns
@@ -1068,6 +1097,45 @@ def test_a_solve_cut_at_the_pivot_cap_returns_a_checked_bound(
         assert sol.value >= constant - 1e-6
         assert abs(sol.value - reported) <= 1e-6
         assert witness_ratio(sol.f, dom).as_float() <= constant + 1e-6
+
+
+# A Z_2^8 domain (mask of flat indices) and its constant (HiGHS). When
+# drift let a basic column enter again, it sat in the basis twice at
+# 3 000 pivots, the iterate drifted from that singular basis, and the
+# solve reported 32.
+_DRIFTED_SINGULAR = (
+    0xb9f7f603f0e6cec4388dfb6d22ab3dbedba569deff65bf4ff77cabbcfd05dfb,
+    22.3340811747909)
+
+
+def test_a_basic_column_never_enters_again(monkeypatch):
+    """With basic columns kept out of the entering choice, the drifted
+    singular domain solves to optimal within 3 000 pivots, in float and
+    in exact mode, at the constant, with a certificate the checker
+    accepts, and the final basis holds no column twice."""
+    from turanlab import simplex, turan_lp
+
+    monkeypatch.setattr(simplex, "LP_PIVOT_CAP", 3000)
+    real = turan_lp.solve_column_lp
+    results = []
+
+    def keeping(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(turan_lp, "solve_column_lp", keeping)
+    mask, constant = _DRIFTED_SINGULAR
+    G = make_group([2] * 8)
+    dom = symmetric_domain(G, [G.element(i) for i in range(G.order)
+                               if mask >> i & 1])
+    for mode in ("float", "exact-rational"):
+        sol = turan_constant(G, dom, mode=mode)
+        assert sol.status == "optimal"
+        assert abs(sol.value - constant) <= 1e-6
+        assert float(verify_dual_certificate(sol.problem, sol.dual)) == sol.value
+        basis = results[-1].basis
+        assert len(set(basis)) == len(basis)
+    assert abs(float(sol.exact_value) - constant) <= 1e-6
 
 
 def test_character_side_is_shared_per_group():
