@@ -24,36 +24,53 @@ All state lives in float numpy arrays:
                  multipliers are ``ones @ Binv``; the objective is the
                  left-to-right running sum of ``xB``.
 
-Pivoting: Dantzig entering with a largest-pivot tie-break; Bland's
-anti-cycling rule (lowest column id) takes over after a stall of
-``STALL_LIMIT`` pivots without progress and hands back at the next
-strict decrease. A basic column's reduced cost is zeroed before either
-choice: it is 0 in exact arithmetic, and drift would otherwise let a
-column enter the basis a second time. A leaving row needs a basis
-direction above ``PIVOT_TOL``: smaller entries are within the rounding
-of the updated inverse, and Bland's lowest-id tie-break would otherwise
-pivot on such a rounded zero and make the basis singular.
+Pivoting: Dantzig entering with a largest-|d|, then lowest-basis-id
+tie-break on the leaving row. A basic column's reduced cost is zeroed
+before the entering choice: it is 0 in exact arithmetic, and drift would
+otherwise let a column enter the basis a second time. A leaving row
+needs a basis direction above ``PIVOT_TOL``: smaller entries are within
+the rounding of the updated inverse, and pivoting on such a rounded zero
+would make the basis singular.
+
+Lift: a stall of ``STALL_LIMIT`` pivots without progress lifts the
+basic values off their degenerate zeros (Wolfe's ad hoc perturbation,
+J. SIAM 11, 1963): ``xB += delta`` with ``delta = LIFT_SCALE * (1 + u) *
+max(1, max|w|)``, ``u`` uniform from a generator seeded once per solve,
+and the working right-hand side moves to ``rhs + B delta``, so the
+current basis stays feasible and exact. The lift is kept small, as in
+the EXPAND procedure of Gill, Murray, Saunders & Wright (Math. Prog. 45,
+1989). The costs never move, so the multipliers of a basis are the same
+on the lifted and the true right-hand side.
 
 Drift: the product-form updates of ``Binv`` and ``xB`` accumulate
 rounding. Before each pricing round that follows a pivot, the residuals
-max|B xB - w| and max|pi B - 1| are measured against the basic
-columns; when either exceeds ``entering_tol``, ``Binv`` is re-inverted
-and ``xB`` recomputed from them. A singular basis raises
-``SingularBasisError``. The final basis ids are returned, so a caller
-can recompute that basis in exact arithmetic.
+max|B xB - rhs| and max|pi B - 1| are measured against the basic
+columns and the working right-hand side; when either exceeds
+``entering_tol``, ``Binv`` is re-inverted and ``xB`` recomputed from
+them. A re-inverted basis whose ``B^-1 rhs`` has an entry below
+``-entering_tol`` is not clipped: the solve restarts from the start
+basis on the true ``w``, keeping its working set. A singular basis
+raises ``SingularBasisError``. The final basis ids are returned, so a
+caller can recompute that basis in exact arithmetic.
 
 Termination statuses:
-    optimal          pricing found nothing below tolerance
+    optimal          pricing found nothing below tolerance. After a
+                     lift, the final basis is first re-inverted and
+                     solved on the true ``w``; a feasible one is priced
+                     again there, an infeasible one restarts as above
     infeasible       an entering column had no basis direction above
                      ``PIVOT_TOL``. With unit costs the minimum is never
                      unbounded (lam >= 0 gives sum lam >= 0), so this
                      only reports a numerically unusable direction
-    budget-exceeded  ``LP_PIVOT_CAP`` pivots done; an iterate that drifted
-                     from its basis is re-solved from the basis columns
-                     by pseudo-inverse, as drift may have left them
-                     singular, or replaced by the start basis when they
-                     give no nonnegative solution, so the weights are
-                     feasible
+    budget-exceeded  ``LP_PIVOT_CAP`` pivots done; an iterate off the
+                     true ``w`` (drifted or lifted) is re-solved from the
+                     basis columns by pseudo-inverse, as drift may have
+                     left them singular, or replaced by the start basis
+                     when they give no nonnegative solution, so the
+                     weights are feasible
+
+``diagnostics`` counts the pricing rounds, the working-set columns, the
+lifts and the basis restarts.
 """
 from __future__ import annotations
 
@@ -66,8 +83,10 @@ from .config import LP_PIVOT_CAP
 
 # smallest basis direction a leaving row may have
 PIVOT_TOL = 1e-9
-# pivots without progress before Bland's rule takes over
+# pivots without progress before the basic values are lifted
 STALL_LIMIT = 300
+# size of a lift, relative to max(1, max|w|)
+LIFT_SCALE = 1e-7
 
 # a priced column, of cost 1: (column id, coefficient vector)
 Column = tuple[int, Sequence]
@@ -164,9 +183,11 @@ def solve_column_lp(
     ones = np.ones(p)
 
     pivots = 0
-    bland_pivots = 0
     pricing_rounds = 0
-    bland = False
+    lifts = 0
+    basis_restarts = 0
+    rng = None  # the lift's generator, seeded at the first lift
+    rhs = w  # the working right-hand side: w until a lift moves it
     stall = 0
     last_obj = None
     checked = True  # Binv checked for drift since the last pivot
@@ -179,12 +200,28 @@ def solve_column_lp(
         return {b: x for b, x in zip(basis.tolist(), xB) if x != 0.0}
 
     def diagnostics(**extra):
-        return {**extra, "bland_pivots": bland_pivots,
-                "pricing_rounds": pricing_rounds, "columns": work.n}
+        return {**extra, "pricing_rounds": pricing_rounds, "columns": work.n,
+                "lifts": lifts, "basis_restarts": basis_restarts}
 
     def result(status):
         return ColumnLPResult(status, objective(), pi, weights(), pivots,
                               diagnostics(), basis.tolist())
+
+    def reinvert(B):
+        """Solve the basis B on rhs afresh, or restart from the start
+        basis on w when that solution is infeasible."""
+        nonlocal basis, slot, Binv, xB, rhs, stall, last_obj, basis_restarts
+        try:
+            Binv = np.linalg.inv(B)
+        except np.linalg.LinAlgError as e:
+            raise SingularBasisError("basis matrix is singular") from e
+        xB = Binv @ rhs
+        if xB.min() < -entering_tol:
+            basis, slot, Binv, xB = (a.copy() for a in start)
+            rhs, stall, last_obj = w, 0, None
+            basis_restarts += 1
+        else:
+            xB[xB < 1e-13] = 0.0
 
     while True:
         pi = ones @ Binv
@@ -192,39 +229,35 @@ def solve_column_lp(
         # a basic column's reduced cost is 0 up to drift, and it never
         # enters again
         rc[slot] = 0.0
-        if bland:
-            cand = (rc < -entering_tol).nonzero()[0]
-            enter = int(cand[ids[cand].argmin()]) if len(cand) else -1
-        else:
-            enter = int(rc.argmin())
-            if not rc[enter] < -entering_tol:
-                enter = -1
-        if enter < 0:
+        enter = int(rc.argmin())
+        if not rc[enter] < -entering_tol:
             if not checked:
                 checked = True
                 B = M[:, slot]
-                drift = max(np.abs(B @ xB - w).max(initial=0.0),
+                drift = max(np.abs(B @ xB - rhs).max(initial=0.0),
                             np.abs(pi @ B - 1.0).max(initial=0.0))
                 if drift > entering_tol:
-                    try:
-                        Binv = np.linalg.inv(B)
-                    except np.linalg.LinAlgError as e:
-                        raise SingularBasisError("basis matrix is singular") from e
-                    xB = Binv @ w
-                    xB[xB < 1e-13] = 0.0
+                    reinvert(B)
                     continue
             pricing_rounds += 1
             fresh = price(pi)
-            if not fresh:
+            if fresh:
+                work.extend(fresh)
+                M, ids = work.matrix(), work.ids
+            elif rhs is w:
                 return result("optimal")
-            work.extend(fresh)
-            M, ids = work.matrix(), work.ids
+            else:
+                # optimal on the lifted right-hand side: solve the basis
+                # on the true w, then price it there
+                rhs = w
+                reinvert(M[:, slot])
             continue
 
         if pivots >= LP_PIVOT_CAP:
-            # re-solve a drifted iterate from its basis, else the start basis
+            # re-solve an iterate off w (drifted or lifted) from its
+            # basis, else take the start basis
             B = M[:, slot]
-            if np.abs(B @ xB - w).max(initial=0.0) > entering_tol:
+            if rhs is not w or np.abs(B @ xB - w).max(initial=0.0) > entering_tol:
                 Binv = np.linalg.pinv(B)
                 xB = Binv @ w
                 if not ((xB >= -entering_tol).all() and np.abs(
@@ -244,8 +277,6 @@ def solve_column_lp(
         ties = eligible[ratios <= rmin * (1 + 1e-9) + 1e-15]
         if len(ties) == 1:
             leave = int(ties[0])
-        elif bland:
-            leave = int(ties[basis[ties].argmin()])
         else:
             # largest |d|, then the lowest basis id
             size = np.abs(d[ties])
@@ -266,8 +297,6 @@ def solve_column_lp(
         basis[leave] = ids[enter]
         slot[leave] = enter
         pivots += 1
-        if bland:
-            bland_pivots += 1
 
         checked = False
         if pivots % 128 == 0 and not (
@@ -278,8 +307,17 @@ def solve_column_lp(
         if last_obj is not None and obj >= last_obj - 1e-12:
             stall += 1
             if stall >= STALL_LIMIT:
-                bland = True
+                # lift the basic values off their degenerate zeros; the
+                # basis stays exact on the moved right-hand side
+                if rng is None:
+                    rng = np.random.default_rng(0)
+                delta = LIFT_SCALE * (1.0 + rng.random(p)) * max(
+                    1.0, np.abs(w).max())
+                xB += delta
+                rhs = rhs + M[:, slot] @ delta
+                obj = float(xB.cumsum()[-1])
+                lifts += 1
+                stall = 0
         else:
             stall = 0
-            bland = False
         last_obj = obj

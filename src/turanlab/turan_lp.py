@@ -455,6 +455,9 @@ def solve_lp(problem: LPProblem, mode: str = "float",
     w = problem.orbit_sizes.astype(float)
     tol = tolerances.feasibility
     offered = np.zeros(problem.n_rows, dtype=bool)
+    # rows offered per pricing round: twice the simplex's row count, and
+    # at least 32
+    batch = max(32, 2 * p)
     # the multipliers of the last pricing round and their transform
     priced = {}
 
@@ -464,12 +467,12 @@ def solve_lp(problem: LPProblem, mode: str = "float",
         rc = fhat[problem.row_index]
         # violated rows not offered yet, by (rc, r): a stable sort of the
         # ascending candidate indices breaks rc ties by the lower row. Only
-        # rows with rc up to the 32nd smallest can be offered, and keeping
-        # just those keeps their order
+        # rows with rc up to the batch-th smallest can be offered, and
+        # keeping just those keeps their order
         cand = np.flatnonzero((rc < -tol) & ~offered)
-        if len(cand) > 32:
-            cand = cand[rc[cand] <= np.partition(rc[cand], 31)[31]]
-        take = cand[np.argsort(rc[cand], kind="stable")][:32]
+        if len(cand) > batch:
+            cand = cand[rc[cand] <= np.partition(rc[cand], batch - 1)[batch - 1]]
+        take = cand[np.argsort(rc[cand], kind="stable")][:batch]
         offered[take] = True
         return list(zip((2 * p + take).tolist(), -problem.row(take)))
 

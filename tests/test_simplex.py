@@ -271,32 +271,35 @@ def test_working_set_grows_over_pricing_rounds(monkeypatch):
     assert _certify_basis(w_exact, unit + exact_pool, res.basis) == want
 
 
-def test_bland_enters_lowest_id_among_negative_reduced_costs(monkeypatch):
-    # w = 0 makes every pivot degenerate, so with STALL_LIMIT 1 the second
-    # pivot stalls and Bland's rule picks the third entering column. Every
-    # column costs 1, so rc = 1 - v . pi. From pi = (1, 1) Dantzig enters
-    # id 70 (rc -13/2), then at pi = (-5/8, 1) id 60 (rc -17/8). At
-    # pi = (-2/27, 10/27) the candidates are id 40 (rc -1/27), id 20
-    # (rc -5/27) and id 50 (rc -7/27): Dantzig takes id 50, Bland id 20,
-    # which is neither first in arrival order nor the most negative.
-    # The box columns are ids 0, 1 (+e_q) and 2, 3 (-e_q).
+def test_a_stall_lifts_the_basic_values_and_ends_on_the_true_w(monkeypatch):
+    # w with zero entries starts from a degenerate basis, so pivots stall,
+    # and with STALL_LIMIT 1 the second pivot without progress lifts the
+    # basic values off zero. Each solve must still end optimal with weights
+    # that solve B x = w on the true w, at the oracle's value, and its
+    # final basis must be exactly optimal.
     import turanlab.simplex as simplex
 
-    cols = [(60, [-1.0, 2.5]), (70, [4.0, 3.5]), (40, [1.0, 3.0]),
-            (20, [1.5, 3.5]), (50, [3.0, 4.0])]
-    monkeypatch.setattr(simplex, "LP_PIVOT_CAP", 2)
-    two = solve_column_lp(np.zeros(2), cols, lambda pi: [])
-    assert two.basis == [70, 60]
-    assert two.pi.tolist() == pytest.approx([-2 / 27, 10 / 27])
-    monkeypatch.setattr(simplex, "LP_PIVOT_CAP", 3)
-    dantzig = solve_column_lp(np.zeros(2), cols, lambda pi: [])
-    assert dantzig.status == "budget-exceeded"
-    assert dantzig.basis == [50, 60]
-    assert dantzig.diagnostics["bland_pivots"] == 0
     monkeypatch.setattr(simplex, "STALL_LIMIT", 1)
-    bland = solve_column_lp(np.zeros(2), cols, lambda pi: [])
-    assert bland.basis == [70, 20]
-    assert bland.pivots == 3 and bland.diagnostics["bland_pivots"] == 1
+    rng = random.Random(90305)
+    lifted = 0
+    for case in range(20):
+        p = 3
+        w = [Fraction(rng.choice([0, 0, 1, 2, -1])) for _ in range(p)]
+        pool = [(100 + j, [Fraction(rng.randint(-2, 3)) for _ in range(p)])
+                for j in range(rng.randint(4, 8))]
+        cols = _unit_columns(p) + pool
+        res = solve_column_lp(*_floats(w, pool), lambda pi: [])
+        assert res.status == "optimal", f"case {case}"
+        by_id = dict(cols)
+        for q in range(p):
+            combo = sum(lam * float(by_id[cid][q])
+                        for cid, lam in res.weights.items())
+            assert abs(combo - float(w[q])) <= 1e-12, f"case {case}"
+        want = _dual_vertex_oracle(w, cols)
+        assert abs(res.objective - float(want)) <= 1e-9, f"case {case}"
+        assert _certify_basis(w, cols, res.basis) == want, f"case {case}"
+        lifted += res.diagnostics["lifts"] >= 1
+    assert lifted >= 5, f"only {lifted} of 20 solves lifted"
 
 
 class _DriftingNumpy:
@@ -333,6 +336,56 @@ def test_drifting_inverse_is_rebuilt_before_pricing(monkeypatch):
         assert abs(res.objective - float(want)) <= 1e-9, \
             f"case {case}: solver {res.objective} oracle {float(want)}"
         _check_primal(res, w, cols, 1e-9)
+
+
+def test_an_infeasible_reinversion_restarts_and_keeps_the_working_set(
+        monkeypatch):
+    """The inverse drifts as above, and the first re-inversion comes back
+    negated, so B^-1 w has negative entries. The solve must not clip them:
+    it restarts from the start basis, keeps the columns it holds, and
+    still ends at the oracle's value although each pool column is offered
+    only once."""
+    import turanlab.simplex as simplex
+
+    calls = []
+
+    class Linalg:
+        LinAlgError = np.linalg.LinAlgError
+        pinv = staticmethod(np.linalg.pinv)
+
+        @staticmethod
+        def inv(B):
+            calls.append(len(B))
+            return -np.linalg.inv(B) if len(calls) == 1 else np.linalg.inv(B)
+
+    class Numpy(_DriftingNumpy):
+        linalg = Linalg
+
+    monkeypatch.setattr(simplex, "np", Numpy())
+    rng = random.Random(90306)
+    restarted = 0
+    for case in range(40):
+        p = rng.randint(2, 3)
+        w, cols = _random_instance(rng, p, rng.randint(3, 6), exact=False)
+        pool = cols[2 * p:]
+        offered = set()
+
+        def price(pi):
+            out = [(cid, vec) for cid, vec in pool if cid not in offered
+                   and 1 - sum(v * y for v, y in zip(vec, pi)) < -1e-9]
+            offered.update(cid for cid, _vec in out)
+            return out
+
+        del calls[:]
+        res = simplex.solve_column_lp(np.array(w), [], price)
+        assert res.status == "optimal", f"case {case}"
+        assert res.diagnostics["basis_restarts"] == min(len(calls), 1)
+        want = _dual_vertex_oracle(w, cols)
+        assert abs(res.objective - float(want)) <= 1e-9, \
+            f"case {case}: solver {res.objective} oracle {float(want)}"
+        _check_primal(res, w, cols, 1e-9)
+        restarted += res.diagnostics["basis_restarts"]
+    assert restarted >= 10, f"only {restarted} of 40 solves restarted"
 
 
 def test_dantzig_ratio_tie_leaves_by_largest_direction_then_lowest_id():

@@ -502,8 +502,9 @@ def _record_pricing(monkeypatch):
 
 
 # (rng seed, seed elements) of the orbit-union domains under the swaps
-# (0 1) and (2 3) that the pricing test runs on Z_2^k: k = 8 takes five
-# rounds, two of them with more than 32 violated rows; k = 6 takes three
+# (0 1) and (2 3) that the pricing test runs on Z_2^k: k = 8 has p = 23
+# rows and takes three rounds, the first with 55 violated rows, more
+# than its batch of 46; k = 6 has p = 9 and takes three
 _PRICING_DOMAINS = {8: (6, 24), 6: (2, 10)}
 
 
@@ -519,7 +520,8 @@ def _pricing_domain(k):
 @pytest.mark.parametrize("k,mode", [(8, "float"), (6, "exact-rational")])
 def test_price_offers_rows_once_in_rc_order(monkeypatch, k, mode):
     """Each round offers the not yet offered violated orbit rows by
-    (rc, r), at most 32; rc is recomputed here as 1 + row . pi. Exact
+    (rc, r), at most max(32, 2p) for p variables; rc is recomputed here
+    as 1 + row . pi. Exact
     mode prices with the same float multipliers; there rc is recomputed
     in Fractions of those floats, whose float transform is exact on this
     instance, so the order is checked exactly, ties included. Float mode
@@ -537,11 +539,12 @@ def test_price_offers_rows_once_in_rc_order(monkeypatch, k, mode):
     if exact:
         assert sol.exact_value == want.exact_value
     tol = 1e-9
+    batch = max(32, 2 * prob.n_vars)
     seen: set[int] = set()
     capped = False
     for pi, rows in calls:
         assert pi.dtype == float
-        assert len(rows) <= 32
+        assert len(rows) <= batch
         assert not seen & set(rows), "a row was offered twice"
         if exact:
             rc = [1 + sum(Fraction(a) * Fraction(y)
@@ -551,10 +554,10 @@ def test_price_offers_rows_once_in_rc_order(monkeypatch, k, mode):
             rc = [1 + np.dot(prob.row(r), pi) for r in range(prob.n_rows)]
         cand = sorted((rc[r], r) for r in range(prob.n_rows)
                       if r not in seen and rc[r] < -tol)
-        assert len(rows) == min(32, len(cand))
-        capped |= len(cand) > 32
+        assert len(rows) == min(batch, len(cand))
+        capped |= len(cand) > batch
         if exact:
-            assert rows == [r for _rc, r in cand[:32]]
+            assert rows == [r for _rc, r in cand[:batch]]
         else:
             got = [rc[r] for r in rows]
             assert all(a <= b + 1e-11 for a, b in zip(got, got[1:]))
@@ -563,18 +566,21 @@ def test_price_offers_rows_once_in_rc_order(monkeypatch, k, mode):
         seen.update(rows)
     assert calls[-1][1] == []
     if not exact:
-        assert capped, "no round had more than 32 violated rows"
+        assert capped, f"no round had more than {batch} violated rows"
 
 
 def test_price_offers_the_head_of_a_full_stable_sort(monkeypatch):
-    """Every round offers exactly the first 32 rows of a stable sort by rc
-    of all violated rows not offered yet. rc is recomputed here by the
-    callback's own transform, so the comparison is exact; one round has
-    more than 32 violated rows and a tie across its 32nd rc."""
+    """Every round offers exactly the first max(32, 2p) rows of a stable
+    sort by rc of all violated rows not offered yet, for p variables. rc
+    is recomputed here by the callback's own transform, so the comparison
+    is exact; one round has more violated rows than that and a tie across
+    its last offered rc."""
     from turanlab import turan_lp
 
     G, dom = _pricing_domain(8)
     prob = build_lp_problem(G, dom)
+    batch = max(32, 2 * prob.n_vars)
+    assert batch > 32
     real = turan_lp.solve_column_lp
     tied = []
 
@@ -589,16 +595,17 @@ def test_price_offers_the_head_of_a_full_stable_sort(monkeypatch):
             want = cand[np.argsort(rc[cand], kind="stable")]
             out = price(pi)
             got = [cid - 2 * len(w) for cid, _v in out]
-            assert got == want[:32].tolist()
+            assert got == want[:batch].tolist()
             offered[got] = True
-            tied.append(len(want) > 32 and rc[want[31]] == rc[want[32]])
+            tied.append(len(want) > batch
+                        and rc[want[batch - 1]] == rc[want[batch]])
             return out
 
         return real(w, initial, checking, **kwargs)
 
     monkeypatch.setattr(turan_lp, "solve_column_lp", spy)
     assert solve_lp(prob).status == "optimal"
-    assert any(tied), "no round tied across its 32nd rc"
+    assert any(tied), "no round tied across its last offered rc"
 
 
 def _random_product_group(rng):
@@ -1064,39 +1071,90 @@ def test_exact_and_budget_solves_transform_their_own_witness(monkeypatch):
     assert f.values.tobytes() == sol.f.values.tobytes()
 
 
-# Z_2^8 domains, as masks of flat indices, whose solves still pivot at
-# 3 000 pivots, their constants (HiGHS) and the bounds reported at that
-# cap. In the first, Bland's rule has stalled at 48. In the second, the
-# iterate has drifted 1.6e-4 from its basis and is solved again from it.
+# Z_2^8 domains, as masks of flat indices, their constants (HiGHS), a
+# pivot cap that cuts their solves short, the lifts before that cap and
+# the bounds reported at it. Both reach optimal within 800 pivots now.
+# The first stalls at 64 until a lift at pivot 447 and is cut at 48 while
+# lifted, so its iterate is solved again on the true right-hand side.
+# The second, whose iterate once drifted 1.6e-4 from its basis under
+# Bland's rule, is cut on its way down.
 _CAPPED_DOMAINS = [
     (0x97f7febe7ffabfeb7fec879ee9cfff5dd9b89bdd17e8fa7e66095a3bdd867697,
-     24.757939685081407, 48.000000000000334),
+     24.757939685081407, 500, 1, 48.00000000000483),
     (0xefbb71103566cd47a109c9590f272777ee6e2fb10e5ca37dbc7267b6ec73b8dd,
-     18.943361188486627, 58.295982464429294),
+     18.943361188486627, 300, 0, 40.91538297173206),
 ]
 
 
-@pytest.mark.parametrize("mask, constant, reported", _CAPPED_DOMAINS,
+@pytest.mark.parametrize("mask, constant, cap, lifts, reported", _CAPPED_DOMAINS,
                          ids=["stalled", "drifted"])
 def test_a_solve_cut_at_the_pivot_cap_returns_a_checked_bound(
-        monkeypatch, mask, constant, reported):
+        monkeypatch, mask, constant, cap, lifts, reported):
     """Budgets are statuses: a solve cut at the pivot cap returns
     budget-exceeded, in float and in exact mode, with a certificate the
     checker accepts for a bound at least the constant, and a witness at
     most the constant."""
     from turanlab import simplex
 
-    monkeypatch.setattr(simplex, "LP_PIVOT_CAP", 3000)
+    monkeypatch.setattr(simplex, "LP_PIVOT_CAP", cap)
     G = make_group([2] * 8)
     dom = symmetric_domain(G, [G.element(i) for i in range(G.order)
                                if mask >> i & 1])
     for mode in ("float", "exact-rational"):
         sol = turan_constant(G, dom, mode=mode)
         assert sol.status == "budget-exceeded" and sol.exact_value is None
+        assert sol.diagnostics["lifts"] == lifts
         assert verify_dual_certificate(sol.problem, sol.dual) == sol.value
         assert sol.value >= constant - 1e-6
         assert abs(sol.value - reported) <= 1e-6
         assert witness_ratio(sol.f, dom).as_float() <= constant + 1e-6
+
+
+# Dense Z_2^8 domains, as masks of flat indices, with their constants
+# (HiGHS) and, for two of them, the exact value. Their programs are very
+# degenerate. When a stall handed over to Bland's rule and a drift
+# re-inversion clipped the negative entries of B^-1 w, every one of them
+# raised CertificateInvalidError with one BLAS thread (two of them with
+# two): the clipped iterate no longer solved B x = w, and the solve
+# reported a value far above the constant.
+_DEGENERATE_DOMAINS = [
+    (0x1bb6f1fdff7caaeedc3cf7dfe8afe47d036fff31bdc1e7a167dbfeb331e731e3,
+     25.169683329635, Fraction(794028, 31547)),
+    (0xdf94efd5f46fdd5ec4a34b611ff6f7b7b0249af97f7f4dfdf72d96dbecf47be7,
+     24.575502900499, None),
+    (0xce2fffbfb35cfbf3b5fbb8fbeddf9f3ad03616ce0a1cecebff9bfb7e3ae8ed61,
+     23.361213032810, None),
+    (0x2b87f50eb9ffaff9701f3fe8e7497a44d589aae1bc9451ebd165ba5e9adf7e8b,
+     16, Fraction(16)),
+    (0x1fb3c0a32c16c4eb1ffad2f2254d01ac360eb273988b02d4309448bbd2abfa7,
+     16, None),
+    (0xfc117ee57fbbffb7fffffedf728fd5ab5f77efdcf3594f43f73bbd1772fb93c9,
+     26.756967083815, None),
+    (0xc5be94fdbe327d892670ed06ae1289f3d7dfe745801e0b9f0ed335de4b8be76b,
+     16, None),
+    (0xffdf56bdd78afcd5ffd39f5f37c7d5fdfdf73eea6938f72aef4e37f3fedb75af,
+     27.378016088584, None),
+]
+
+
+@pytest.mark.parametrize("mask, constant, exact", _DEGENERATE_DOMAINS,
+                         ids=[hex(m)[2:8] for m, _c, _e in _DEGENERATE_DOMAINS])
+def test_degenerate_dense_domains_solve_to_their_constants(mask, constant, exact):
+    """A float solve is optimal within 1e-6 of the constant, with a dual
+    the checker accepts; where the exact value is listed, exact mode
+    proves the final basis and finds it."""
+    G = make_group([2] * 8)
+    dom = symmetric_domain(G, [G.element(i) for i in range(G.order)
+                               if mask >> i & 1])
+    sol = turan_constant(G, dom)
+    assert sol.status == "optimal"
+    assert abs(sol.value - constant) <= 1e-6
+    assert float(verify_dual_certificate(sol.problem, sol.dual)) == sol.value
+    if exact is not None:
+        sol = turan_constant(G, dom, mode="exact-rational")
+        assert sol.status == "optimal" and "exact_check" not in sol.diagnostics
+        assert sol.exact_value == exact
+        assert verify_dual_certificate(sol.problem, sol.dual) == exact
 
 
 # A Z_2^8 domain (mask of flat indices) and its constant (HiGHS). When
