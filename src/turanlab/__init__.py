@@ -28,7 +28,7 @@ from .harmonic import (GroupFunction, DualFunction, PDReport, from_dict,
                        convolve, reflect, autocorrelation,
                        is_positive_definite, parseval_gap)
 from .bounds import (BoundReport, best_upper, best_lower, bounds_consistent)
-from .simplex import (ColumnLPResult, SingularBasisError, solve_column_lp)
+from .simplex import ColumnLPResult, solve_column_lp
 from .turan_lp import (LPProblem, LPSolution, build_lp_problem, solve_lp,
                        turan_constant, verify_dual_certificate,
                        witness_ratio, subgroup_bound, quotient_bound,
@@ -71,7 +71,7 @@ __all__ = [
     # reports
     "BoundReport", "best_upper", "best_lower", "bounds_consistent",
     # linear programming
-    "ColumnLPResult", "SingularBasisError", "solve_column_lp",
+    "ColumnLPResult", "solve_column_lp",
     "LPProblem", "LPSolution", "build_lp_problem", "solve_lp",
     "turan_constant", "verify_dual_certificate", "witness_ratio",
     "subgroup_bound", "quotient_bound", "automorphism_image_constant",

@@ -47,11 +47,12 @@ rounding. Before each pricing round that follows a pivot, the residuals
 max|B xB - rhs| and max|pi B - 1| are measured against the basic
 columns and the working right-hand side; when either exceeds
 ``entering_tol``, ``Binv`` is re-inverted and ``xB`` recomputed from
-them. A re-inverted basis whose ``B^-1 rhs`` has an entry below
-``-entering_tol`` is not clipped: the solve restarts from the start
-basis on the true ``w``, keeping its working set. A singular basis
-raises ``SingularBasisError``. The final basis ids are returned, so a
-caller can recompute that basis in exact arithmetic.
+them; every 128 pivots, a ``Binv`` or ``xB`` with a non-finite entry
+is re-inverted too. Re-inversion is the one recovery: a singular basis,
+or one whose ``B^-1 rhs`` has an entry below ``-entering_tol``, is not
+clipped or patched, and the solve restarts from the start basis on the
+true ``w``, keeping its working set. The final basis ids are returned,
+so a caller can recompute that basis in exact arithmetic.
 
 Termination statuses:
     optimal          pricing found nothing below tolerance. After a
@@ -63,11 +64,9 @@ Termination statuses:
                      unbounded (lam >= 0 gives sum lam >= 0), so this
                      only reports a numerically unusable direction
     budget-exceeded  ``LP_PIVOT_CAP`` pivots done; an iterate off the
-                     true ``w`` (drifted or lifted) is re-solved from the
-                     basis columns by pseudo-inverse, as drift may have
-                     left them singular, or replaced by the start basis
-                     when they give no nonnegative solution, so the
-                     weights are feasible
+                     true ``w`` (drifted or lifted) is re-inverted on
+                     ``w``, so a singular or infeasible basis ends at the
+                     start basis and the weights are feasible
 
 ``diagnostics`` counts the pricing rounds, the working-set columns, the
 lifts and the basis restarts.
@@ -150,10 +149,6 @@ class _Working:
         return self._ids[:self.n]
 
 
-class SingularBasisError(RuntimeError):
-    """The float basis inverse degraded to non-finite entries."""
-
-
 def solve_column_lp(
     w,
     initial_columns: list[Column],
@@ -209,14 +204,15 @@ def solve_column_lp(
 
     def reinvert(B):
         """Solve the basis B on rhs afresh, or restart from the start
-        basis on w when that solution is infeasible."""
+        basis on w when B is singular or that solution is infeasible."""
         nonlocal basis, slot, Binv, xB, rhs, stall, last_obj, basis_restarts
         try:
             Binv = np.linalg.inv(B)
-        except np.linalg.LinAlgError as e:
-            raise SingularBasisError("basis matrix is singular") from e
-        xB = Binv @ rhs
-        if xB.min() < -entering_tol:
+            xB = Binv @ rhs
+        except np.linalg.LinAlgError:
+            xB = None
+        # a non-finite xB fails the test as well
+        if xB is None or not xB.min() >= -entering_tol:
             basis, slot, Binv, xB = (a.copy() for a in start)
             rhs, stall, last_obj = w, 0, None
             basis_restarts += 1
@@ -254,16 +250,11 @@ def solve_column_lp(
             continue
 
         if pivots >= LP_PIVOT_CAP:
-            # re-solve an iterate off w (drifted or lifted) from its
-            # basis, else take the start basis
-            B = M[:, slot]
-            if rhs is not w or np.abs(B @ xB - w).max(initial=0.0) > entering_tol:
-                Binv = np.linalg.pinv(B)
-                xB = Binv @ w
-                if not ((xB >= -entering_tol).all() and np.abs(
-                        B @ xB - w).max(initial=0.0) <= entering_tol):
-                    basis, slot, Binv, xB = start
-                xB[xB < 1e-13] = 0.0
+            # solve an iterate off w (drifted or lifted) on w afresh
+            if rhs is not w or np.abs(
+                    M[:, slot] @ xB - w).max(initial=0.0) > entering_tol:
+                rhs = w
+                reinvert(M[:, slot])
                 pi = ones @ Binv
             return result("budget-exceeded")
 
@@ -302,7 +293,7 @@ def solve_column_lp(
         if pivots % 128 == 0 and not (
             np.isfinite(Binv).all() and np.isfinite(xB).all()
         ):
-            raise SingularBasisError("basis inverse lost finiteness")
+            reinvert(M[:, slot])
         obj = float(xB.cumsum()[-1])
         if last_obj is not None and obj >= last_obj - 1e-12:
             stall += 1

@@ -53,7 +53,7 @@ from .groups import (Element, FiniteAbelianGroup, Subgroup, SymmetricDomain,
 from .harmonic import (GroupFunction, _axis_transform, _root_table,
                        is_positive_definite)
 from .rational import adjugate
-from .simplex import SingularBasisError, solve_column_lp
+from .simplex import solve_column_lp
 
 
 @dataclass
@@ -477,19 +477,8 @@ def solve_lp(problem: LPProblem, mode: str = "float",
         return list(zip((2 * p + take).tolist(), -problem.row(take)))
 
     # the simplex holds the box columns itself
-    try:
-        res = solve_column_lp(w, [], price, entering_tol=tol)
-        restarts = 0
-    except SingularBasisError:
-        # deterministic tiny perturbation of the objective, then re-solve;
-        # the certificate check against the unperturbed data still applies
-        wp = np.array([w[q] * (1.0 + 1e-9 * (q + 1) / p) for q in range(p)])
-        offered[:] = False
-        res = solve_column_lp(wp, [], price, entering_tol=tol)
-        restarts = 1
-
-    diag = {"pivots": res.pivots, "perturbed_restarts": restarts}
-    diag.update(res.diagnostics)
+    res = solve_column_lp(w, [], price, entering_tol=tol)
+    diag = {"pivots": res.pivots, **res.diagnostics}
 
     if res.status == "infeasible":
         return LPSolution("infeasible", float("nan"), None, None,

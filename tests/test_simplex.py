@@ -338,30 +338,47 @@ def test_drifting_inverse_is_rebuilt_before_pricing(monkeypatch):
         _check_primal(res, w, cols, 1e-9)
 
 
-def test_an_infeasible_reinversion_restarts_and_keeps_the_working_set(
-        monkeypatch):
-    """The inverse drifts as above, and the first re-inversion comes back
-    negated, so B^-1 w has negative entries. The solve must not clip them:
-    it restarts from the start basis, keeps the columns it holds, and
-    still ends at the oracle's value although each pool column is offered
-    only once."""
+class _FailingLinalg:
+    """np.linalg whose inv fails as ``how`` says on the calls that
+    ``fails(calls)`` picks: "negated" returns -B^-1, so B^-1 w has
+    negative entries, and "singular" raises LinAlgError."""
+
+    LinAlgError = np.linalg.LinAlgError
+
+    def __init__(self, how, fails):
+        self.how, self.fails, self.calls = how, fails, []
+
+    def inv(self, B):
+        self.calls.append(len(B))
+        if not self.fails(len(self.calls)):
+            return np.linalg.inv(B)
+        if self.how == "singular":
+            raise np.linalg.LinAlgError("forced")
+        return -np.linalg.inv(B)
+
+
+def _failing_numpy(monkeypatch, how, fails):
+    """The drifting numpy of the simplex, with a failing inv."""
     import turanlab.simplex as simplex
 
-    calls = []
-
-    class Linalg:
-        LinAlgError = np.linalg.LinAlgError
-        pinv = staticmethod(np.linalg.pinv)
-
-        @staticmethod
-        def inv(B):
-            calls.append(len(B))
-            return -np.linalg.inv(B) if len(calls) == 1 else np.linalg.inv(B)
-
     class Numpy(_DriftingNumpy):
-        linalg = Linalg
+        linalg = _FailingLinalg(how, fails)
 
     monkeypatch.setattr(simplex, "np", Numpy())
+    return Numpy.linalg.calls
+
+
+@pytest.mark.parametrize("how", ["negated", "singular"])
+def test_an_infeasible_reinversion_restarts_and_keeps_the_working_set(
+        monkeypatch, how):
+    """The inverse drifts as above, and the first re-inversion fails: it
+    comes back negated, so B^-1 w has negative entries, or it finds the
+    basis singular. The solve must neither clip nor raise: it restarts
+    from the start basis, keeps the columns it holds, and still ends at
+    the oracle's value although each pool column is offered only once."""
+    import turanlab.simplex as simplex
+
+    calls = _failing_numpy(monkeypatch, how, lambda n: n == 1)
     rng = random.Random(90306)
     restarted = 0
     for case in range(40):
@@ -386,6 +403,45 @@ def test_an_infeasible_reinversion_restarts_and_keeps_the_working_set(
         _check_primal(res, w, cols, 1e-9)
         restarted += res.diagnostics["basis_restarts"]
     assert restarted >= 10, f"only {restarted} of 40 solves restarted"
+
+
+@pytest.mark.parametrize("how", ["negated", "singular"])
+def test_the_pivot_cap_falls_back_to_the_start_basis(monkeypatch, how):
+    """The inverse drifts, and every re-inversion fails, so each one
+    restarts from the start basis. With a cap of 2 pivots, a solve that
+    pivots at all is cut on a drifted iterate or at a restart, and must
+    end budget-exceeded at the start basis: weights that solve B x = w,
+    x >= 0, and objective sum |w|. With a cap of 200, restarts repeat
+    their path until the cap, which ends them as a status."""
+    import turanlab.simplex as simplex
+
+    calls = _failing_numpy(monkeypatch, how, lambda n: True)
+    rng = random.Random(90307)
+    cut = 0
+    for cap in (2, 200):
+        monkeypatch.setattr(simplex, "LP_PIVOT_CAP", cap)
+        for case in range(40):
+            p = rng.randint(2, 3)
+            w, cols = _random_instance(rng, p, rng.randint(3, 6), exact=False)
+            del calls[:]
+            res = simplex.solve_column_lp(np.array(w), cols[2 * p:],
+                                          lambda pi: [])
+            if res.pivots == 0:
+                # the start basis is optimal, and nothing is inverted
+                assert res.status == "optimal" and not calls
+                continue
+            assert res.status == "budget-exceeded", f"case {case}"
+            assert res.pivots == cap and res.diagnostics["basis_restarts"]
+            by_id = dict(cols)
+            for q in range(p):
+                combo = sum(lam * by_id[cid][q]
+                            for cid, lam in res.weights.items())
+                assert abs(combo - w[q]) <= 1e-12, f"case {case}"
+            assert min(res.weights.values()) >= 0.0
+            if cap == 2:
+                assert res.objective == sum(abs(v) for v in w), f"case {case}"
+            cut += 1
+    assert cut >= 40, f"only {cut} of 80 solves were cut"
 
 
 def test_dantzig_ratio_tie_leaves_by_largest_direction_then_lowest_id():
