@@ -175,8 +175,9 @@ def _resolve_tolerances(doc: dict, args) -> Tolerances:
                                               f"tolerances.{k}", positive=True))
                            for k in ("feasibility", "reporting")))
     if args.tol is not None:
-        if args.tol <= 0:
-            raise SpecError("--tol must be positive")
+        if not 0 < args.tol < math.inf:
+            raise SpecError(f"--tol must be positive and finite, got "
+                            f"{args.tol!r}")
         # the whole stack scales with the requested reporting tolerance
         tol = DEFAULT_TOLERANCES.scaled(args.tol / DEFAULT_TOLERANCES.reporting)
     return tol
@@ -212,8 +213,8 @@ def _has_bool(value) -> bool:
 
 
 def _json_number(value, where: str, kinds=(int, float), positive=False):
-    if type(value) not in kinds or (positive and not value > 0):
-        what = ("a positive number" if positive else
+    if type(value) not in kinds or (positive and not 0 < value < math.inf):
+        what = ("a finite positive number" if positive else
                 "an integer" if kinds == (int,) else "a number")
         raise SpecError(f"field '{where}' must be {what}, got {value!r}")
     return value

@@ -12,17 +12,15 @@ maintained explicitly; it is a p x p matrix where p is the number of
 equality rows, so the numerics stay well conditioned regardless of how
 many columns the caller generates.
 
-All state lives in float numpy arrays:
-    working set  a preallocated p x capacity matrix with an ``ids``
-                 array beside it. The first n slots are in use and the
-                 capacity doubles when they fill up. A pricing batch,
-                 less the ids already held, joins in one block copy;
-                 the loop reads the matrix and the ids as views of the
-                 used slots, bound again after each intake.
-    basis        the basic column ids and their working-set slots, both
-                 overwritten at the leaving position on each pivot. The
-                 multipliers are ``ones @ Binv``; the objective is the
-                 left-to-right running sum of ``xB``.
+All state lives in numpy arrays:
+    working set  the matrix ``M`` of the columns in arrival order, with
+                 their ``ids`` beside it. A pricing batch, less the ids
+                 already held, is appended as one block.
+    basis        ``slot``, the working-set position of the basic column
+                 of each row, overwritten at the leaving row on each
+                 pivot; the basic ids are ``ids[slot]``. The multipliers
+                 are ``ones @ Binv``; the objective is the left-to-right
+                 running sum of ``xB``.
 
 Pivoting: Dantzig entering with a largest-|d|, then lowest-basis-id
 tie-break on the leaving row. A basic column's reduced cost is zeroed
@@ -102,53 +100,6 @@ class ColumnLPResult:
     basis: list[int] = field(default_factory=list)  # basic column ids by row
 
 
-class _Working:
-    """Growing working set of columns (id, vector).
-
-    Slots ``0 .. n-1`` of the preallocated arrays hold the columns in
-    arrival order; a full set doubles its capacity. The set starts with
-    the box columns +e_q (id q) and -e_q (id p + q), pair by pair.
-    """
-
-    def __init__(self, p: int, capacity: int):
-        q = np.arange(p)
-        self.n = 2 * p
-        self._mat = np.zeros((p, capacity))
-        self._mat[q, 2 * q] = 1.0
-        self._mat[q, 2 * q + 1] = -1.0
-        self._ids = np.empty(capacity, dtype=np.int64)
-        self._ids[:2 * p] = np.column_stack((q, p + q)).ravel()
-        self.seen = set(self._ids[:2 * p].tolist())
-
-    def extend(self, columns: Sequence[Column]):
-        """Append the columns whose ids are new, in one block copy."""
-        ids, vecs = [], []
-        for cid, vec in columns:
-            if cid not in self.seen:
-                self.seen.add(cid)
-                ids.append(cid)
-                vecs.append(vec)
-        n, m = self.n, self.n + len(ids)
-        while m > len(self._ids):
-            self._mat, self._ids = self._grown(self._mat), self._grown(self._ids)
-        if ids:
-            self._mat[:, n:m].T[:] = vecs
-            self._ids[n:m] = ids
-        self.n = m
-
-    def _grown(self, a: np.ndarray) -> np.ndarray:
-        out = np.empty(a.shape[:-1] + (2 * a.shape[-1],), dtype=a.dtype)
-        out[..., :self.n] = a[..., :self.n]
-        return out
-
-    def matrix(self) -> np.ndarray:
-        return self._mat[:, :self.n]
-
-    @property
-    def ids(self) -> np.ndarray:
-        return self._ids[:self.n]
-
-
 def solve_column_lp(
     w,
     initial_columns: list[Column],
@@ -158,22 +109,41 @@ def solve_column_lp(
 ) -> ColumnLPResult:
     """price(pi) must return new Columns with negative reduced cost, or [].
 
-    ``initial_columns`` join the working set after the box columns.
+    ``initial_columns`` join the working set after the box columns. A
+    column whose id the working set already holds is skipped, and so is
+    every copy of an id after the first within one batch.
     """
     w = np.asarray(w, dtype=float)
     p = len(w)
 
-    work = _Working(p, max(16, 2 * (2 * p + len(initial_columns))))
-    work.extend(initial_columns)
-    # views of the working set, bound again after each intake
-    M, ids = work.matrix(), work.ids
+    # the working set: the box columns +e_q (id q) and -e_q (id p + q),
+    # pair by pair, then every column taken in, in arrival order
+    q = np.arange(p)
+    M = np.zeros((p, 2 * p))
+    M[q, 2 * q] = 1.0
+    M[q, 2 * q + 1] = -1.0
+    ids = np.column_stack((q, p + q)).ravel()
+
+    def intake(columns):
+        """Append the columns whose ids are new, as one block."""
+        nonlocal M, ids
+        held = set(ids.tolist())
+        new = {}
+        for cid, vec in columns:
+            if cid not in held:
+                new.setdefault(cid, vec)
+        if new:
+            M = np.concatenate(
+                (M, np.array(list(new.values()), dtype=float).T), axis=1)
+            ids = np.concatenate((ids, list(new)))
+
+    intake(initial_columns)
 
     # start basis, kept whole: for each row q the box column of sign sgn(w_q)
-    q = np.arange(p)
     neg = w < 0.0
     sign = np.where(neg, -1.0, 1.0)
-    start = np.where(neg, p + q, q), 2 * q + neg, np.diag(sign), w * sign
-    basis, slot, Binv, xB = (a.copy() for a in start)
+    start = 2 * q + neg, np.diag(sign), w * sign
+    slot, Binv, xB = (a.copy() for a in start)
     # the multipliers are ones @ Binv: Binv.sum(axis=0) adds in another order
     ones = np.ones(p)
 
@@ -189,23 +159,23 @@ def solve_column_lp(
 
     def objective():
         # the running sum adds the basic values left to right, like a loop
-        return xB.cumsum()[-1] if p else 0.0
+        return xB.cumsum()[-1]
 
     def weights():
-        return {b: x for b, x in zip(basis.tolist(), xB) if x != 0.0}
+        return {b: x for b, x in zip(ids[slot].tolist(), xB) if x != 0.0}
 
     def diagnostics(**extra):
-        return {**extra, "pricing_rounds": pricing_rounds, "columns": work.n,
+        return {**extra, "pricing_rounds": pricing_rounds, "columns": len(ids),
                 "lifts": lifts, "basis_restarts": basis_restarts}
 
     def result(status):
         return ColumnLPResult(status, objective(), pi, weights(), pivots,
-                              diagnostics(), basis.tolist())
+                              diagnostics(), ids[slot].tolist())
 
     def reinvert(B):
         """Solve the basis B on rhs afresh, or restart from the start
         basis on w when B is singular or that solution is infeasible."""
-        nonlocal basis, slot, Binv, xB, rhs, stall, last_obj, basis_restarts
+        nonlocal slot, Binv, xB, rhs, stall, last_obj, basis_restarts
         try:
             Binv = np.linalg.inv(B)
             xB = Binv @ rhs
@@ -213,7 +183,7 @@ def solve_column_lp(
             xB = None
         # a non-finite xB fails the test as well
         if xB is None or not xB.min() >= -entering_tol:
-            basis, slot, Binv, xB = (a.copy() for a in start)
+            slot, Binv, xB = (a.copy() for a in start)
             rhs, stall, last_obj = w, 0, None
             basis_restarts += 1
         else:
@@ -238,8 +208,7 @@ def solve_column_lp(
             pricing_rounds += 1
             fresh = price(pi)
             if fresh:
-                work.extend(fresh)
-                M, ids = work.matrix(), work.ids
+                intake(fresh)
             elif rhs is w:
                 return result("optimal")
             else:
@@ -272,9 +241,9 @@ def solve_column_lp(
             # largest |d|, then the lowest basis id
             size = np.abs(d[ties])
             top = ties[size == size.max()]
-            leave = int(top[basis[top].argmin()])
+            leave = int(top[ids[slot[top]].argmin()])
 
-        # pivot: replace basis[leave] by the entering column
+        # pivot: the entering column takes the leaving row's slot
         dl = d[leave]
         theta = xB[leave] / dl
         xB -= d * theta
@@ -285,7 +254,6 @@ def solve_column_lp(
         row /= dl
         d[leave] = 0.0
         Binv -= np.multiply.outer(d, row)
-        basis[leave] = ids[enter]
         slot[leave] = enter
         pivots += 1
 

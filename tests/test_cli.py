@@ -1,6 +1,7 @@
 """End-to-end checks of the command line driver through main()."""
 
 import json
+import math
 import runpy
 import sys
 
@@ -487,14 +488,17 @@ def test_exit_code_wrong_type_in_problem_field(tmp_path, capsys, doc,
     (dict(_Z8, tolerances={"feasibility": "x"}), "tolerances.feasibility"),
     (dict(_Z8, tolerances={"feasibility": -1}), "tolerances.feasibility"),
     (dict(_Z8, tolerances={"reporting": False}), "tolerances.reporting"),
+    (dict(_Z8, tolerances={"feasibility": math.inf}),
+     "tolerances.feasibility"),
+    (dict(_Z8, tolerances={"reporting": math.inf}), "tolerances.reporting"),
     (dict(_INTERVAL, dimension=True), "dimension"),
     (dict(_INTERVAL, hints={"Lambda": {"basis": [[True]], "residues": [0]}}),
      "hints.Lambda: basis"),
 ], ids=["fractional-modulus", "boolean-modulus", "boolean-coordinate",
         "fractional-node-limit", "string-node-limit", "null-node-limit",
         "boolean-node-limit", "string-time-limit", "string-feasibility",
-        "negative-feasibility", "boolean-reporting", "boolean-dimension",
-        "boolean-basis"])
+        "negative-feasibility", "boolean-reporting", "infinite-feasibility",
+        "infinite-reporting", "boolean-dimension", "boolean-basis"])
 def test_exit_code_problem_numbers_are_read_strictly(tmp_path, capsys, doc,
                                                      message):
     # a number of the wrong kind is refused, not truncated or read as
@@ -548,8 +552,9 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert run(capsys, "frobnicate")[0] == 1
     path = problem(tmp_path, EX_Z8)
     assert run(capsys, "search", path)[0] == 1  # missing --what
-    code, _, err = run(capsys, "--tol", "-1", "turan", path)
-    assert code == 1 and "--tol must be positive" in err
+    for tol in ("-1", "nan", "inf"):
+        code, _, err = run(capsys, "--tol", tol, "turan", path)
+        assert code == 1 and "--tol must be positive" in err
 
 
 def test_timings_flag(tmp_path, capsys):

@@ -229,19 +229,9 @@ def _circle_columns(k, exact):
     return cols
 
 
-def test_working_set_grows_over_pricing_rounds(monkeypatch):
+def test_working_set_grows_over_pricing_rounds():
     """One column per round, the least violated first, so that many rounds
-    pass and the working set outgrows its first allocation."""
-    import turanlab.simplex as simplex
-
-    grown = []
-    real_grown = simplex._Working._grown
-
-    def spy(self, a):
-        grown.append(a.shape[-1])
-        return real_grown(self, a)
-
-    monkeypatch.setattr(simplex._Working, "_grown", spy)
+    pass and the working set grows by one column at a time."""
     w_exact = [Fraction(1), Fraction(3, 10)]
     exact_pool = _circle_columns(96, True)
     want = _dual_vertex_oracle(w_exact, _unit_columns(2) + exact_pool)
@@ -262,7 +252,6 @@ def test_working_set_grows_over_pricing_rounds(monkeypatch):
     w = np.array([float(v) for v in w_exact])
     res = solve_column_lp(w, [], price)
     assert res.status == "optimal"
-    assert grown, "the working set never outgrew its first allocation"
     assert res.diagnostics["pricing_rounds"] > 16
     assert abs(res.objective - float(want)) <= 1e-9
     _check_primal(res, w, unit + pool, 1e-9)
@@ -458,19 +447,26 @@ def test_dantzig_ratio_tie_leaves_by_largest_direction_then_lowest_id():
 
 
 def test_working_set_takes_a_batch_as_one_block():
-    """Ids already held and ids repeated within the batch are skipped, the
-    first copy of a repeat is kept, and a batch that overflows the
-    capacity grows the set."""
-    import turanlab.simplex as simplex
+    """Ids already held and ids repeated within a batch are skipped, and
+    the first copy of a repeat is the one the solve uses. Each skipped
+    vector would lower the optimum 1/3 that the kept columns give."""
+    batches = [[(10, [1.0, 2.0]), (0, [9.0, 9.0]), (11, [3.0, 4.0]),
+                (10, [8.0, 8.0]), (12, [5.0, 6.0])],
+               [(12, [7.0, 7.0]), (13, [0.5, -0.5])]]
+    kept = [(10, [1, 2]), (11, [3, 4]), (12, [5, 6]), (13, [0.5, -0.5])]
 
-    work = simplex._Working(2, 6)
-    work.extend([(10, [1.0, 2.0]), (0, [9.0, 9.0]), (11, [3.0, 4.0]),
-                 (10, [8.0, 8.0]), (12, [5.0, 6.0])])
-    assert work.ids.tolist() == [0, 2, 1, 3, 10, 11, 12]
-    assert work.matrix().T.tolist() == [[1, 0], [-1, 0], [0, 1], [0, -1],
-                                        [1, 2], [3, 4], [5, 6]]
-    assert work.matrix().shape == (2, 7) and len(work._ids) == 12
-    work.extend([(12, [7.0, 7.0]), (13, [0.5, -0.5])])
-    work.extend([])
-    assert work.ids.tolist() == [0, 2, 1, 3, 10, 11, 12, 13]
-    assert work.matrix()[:, -1].tolist() == [0.5, -0.5]
+    def price(pi):
+        return batches.pop(0) if batches else []
+
+    w = [1, 1]
+    res = solve_column_lp(np.array(w, dtype=float), [], price)
+    want = _dual_vertex_oracle(w, _unit_columns(2) + kept)
+    assert want == Fraction(1, 3)
+    for skipped in [(0, [9, 9]), (10, [8, 8]), (12, [7, 7])]:
+        assert _dual_vertex_oracle(w, _unit_columns(2) + kept
+                                   + [skipped]) < want
+    assert res.status == "optimal"
+    assert res.diagnostics["columns"] == 8
+    assert res.diagnostics["pricing_rounds"] == 3
+    assert abs(res.objective - float(want)) <= 1e-12
+    _check_primal(res, w, _unit_columns(2) + kept, 1e-12)
