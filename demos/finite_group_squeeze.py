@@ -14,15 +14,14 @@ certificate above is optimal.
 """
 
 from turanlab import (
-    autocorrelation, compare_bounds, indicator, make_group, packing_bound,
-    symmetric_domain, tiling_bound, turan_constant, verify_dual_certificate,
-    witness_ratio,
+    autocorrelation, compare_bounds, indicator, packing_bound, tiling_bound,
+    turan_constant, verify_dual_certificate, witness_ratio,
 )
+from turanlab.examples import ORDER8_PACKING, ORDER8_TILE, order8
 
 
 def main() -> None:
-    G = make_group([8])
-    dom = symmetric_domain(G, [0, 1, 3, 4, 5, 7])
+    G, dom = order8()
     print(f"group Z_8, domain {dom.sorted_elements()}")
 
     sol = turan_constant(G, dom)
@@ -33,22 +32,22 @@ def main() -> None:
     dual = verify_dual_certificate(sol.problem, sol.dual)
     print(f"dual certifies  {dual:.12f}  (nonnegative row weights)")
 
-    pack = packing_bound(G, dom, [0, 2])
+    pack = packing_bound(G, dom, ORDER8_PACKING)
     print(f"\npacking bound   {pack.value}  via Lambda = {{0, 2}}: "
           "differences of Lambda avoid the domain, so |G|/|Lambda| caps "
           "the constant")
 
-    tile = tiling_bound(G, dom, [0, 1, 4, 5], [0, 2])
+    tile = tiling_bound(G, dom, ORDER8_TILE, ORDER8_PACKING)
     print(f"tiling bound    {tile.value}  via H + Lambda = Z_8 exactly once "
           f"(tiles: {tile.certificate['tiles']})")
 
-    wit = witness_ratio(autocorrelation(indicator(G, [0, 1, 4, 5])), dom)
+    wit = witness_ratio(autocorrelation(indicator(G, ORDER8_TILE)), dom)
     print(f"witness ratio   {wit.as_float():g}  from chi_H * chi_-H, "
           "positive definite by construction")
 
     print("\nranked comparison (winner first):")
-    reports = compare_bounds(G, dom, {"H": [[0, 1, 4, 5]],
-                                      "Lambda": [[0, 2]]})
+    reports = compare_bounds(G, dom, {"H": [ORDER8_TILE],
+                                      "Lambda": [ORDER8_PACKING]})
     for r in reports:
         star = "  <- minimum" if r.certificate.get("minimum") else ""
         print(f"  {r.direction:<6} {r.method:<12} {r.as_float():.9f}{star}")

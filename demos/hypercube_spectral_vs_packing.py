@@ -16,15 +16,14 @@ import time
 from fractions import Fraction
 
 from turanlab import (
-    SearchBudget, difference_set, find_spectrum, make_group,
-    max_packing_set, packing_bound, spectral_bound, turan_constant,
+    SearchBudget, find_spectrum, max_packing_set, packing_bound,
+    spectral_bound, turan_constant,
 )
+from turanlab.examples import hypercube
 
 
 def main() -> None:
-    G = make_group([2] * 12)
-    H = [tuple(1 if j == i else 0 for j in range(12)) for i in range(12)]
-    dom = difference_set(G, H)
+    G, H, dom = hypercube()
     print(f"group Z_2^12 (order {G.order}), |domain| = {dom.size}")
 
     t0 = time.perf_counter()

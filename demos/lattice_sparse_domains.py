@@ -10,12 +10,11 @@ n/(2n+1). The packing route ties the true value at n = 1 and is
 strictly worse for every larger n, which is why the LP matters.
 """
 
-import math
-
 from turanlab import (
     check_packing_periodic, density_bound_zd, explicit_witness_omega_N,
     omega_N_domain, omega_N_packing, upper_bound_z,
 )
+from turanlab.examples import omega_closed_form
 
 
 def main() -> None:
@@ -27,7 +26,7 @@ def main() -> None:
 
     print("\neven N = 2n: torus LP vs the closed form 1 + 1/cos(pi/(2n+1))")
     for n in (1, 2, 3):
-        closed = 1 + 1 / math.cos(math.pi / (2 * n + 1))
+        closed = omega_closed_form(n)
         v = upper_bound_z(omega_N_domain(2 * n),
                           Ms=[2 * (2 * n + 1)]).as_float()
         w = explicit_witness_omega_N(n)
@@ -41,7 +40,7 @@ def main() -> None:
         lam = omega_N_packing(n)
         good, _ = check_packing_periodic(dom, lam)
         bound = density_bound_zd(dom, lam)
-        closed = 1 + 1 / math.cos(math.pi / (2 * n + 1))
+        closed = omega_closed_form(n)
         margin = float(bound.value) - closed
         note = "ties the limit" if margin < 1e-9 else "strictly worse"
         print(f"  n={n}: packing ok={good} density={lam.density} "

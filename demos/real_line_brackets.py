@@ -12,13 +12,13 @@ certifies a lower bound of 2 > b. All arithmetic is exact.
 from fractions import Fraction
 
 from turanlab import (
-    halving_bound, lattice_certificate, punctured_interval, tent_train,
-    witness_in_domain,
+    halving_bound, lattice_certificate, tent_train, witness_in_domain,
 )
+from turanlab.examples import NARROW_INTERVAL, WIDE_INTERVAL
 
 
 def main() -> None:
-    narrow = punctured_interval(Fraction(3, 2), 1)
+    narrow = NARROW_INTERVAL
     print(f"narrow domain (-3/2, 3/2) minus {{+-1}}, "
           f"measure {narrow.measure}")
     cert = lattice_certificate(narrow, 1)
@@ -29,7 +29,7 @@ def main() -> None:
         print(f"  tent of width {1 - eps}: lower bound {low.value}")
     print("  the bracket closes onto b = 1")
 
-    wide = punctured_interval(3, 1)
+    wide = WIDE_INTERVAL
     print(f"\nwide domain (-3, 3) minus {{+-1}}, measure {wide.measure}")
     print(f"  halving bound: upper {halving_bound(wide).value}")
     train = tent_train(1, [0, 2])

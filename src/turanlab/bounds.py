@@ -28,6 +28,11 @@ class BoundReport:
         return float(self.value)
 
 
+def _decimal(x) -> str:
+    """A reported number as text: 12 significant digits."""
+    return format(float(x), ".12g")
+
+
 def best_upper(reports) -> BoundReport | None:
     ups = [r for r in reports if r.direction == "upper"]
     return min(ups, key=lambda r: (r.as_float(), r.method)) if ups else None

@@ -28,27 +28,22 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .bounds import BoundReport, best_lower, best_upper, rank_reports
+from .bounds import (BoundReport, _decimal, best_lower, best_upper,
+                     rank_reports)
 from .config import (DEFAULT_BUDGET, DEFAULT_TOLERANCES, LP_GROUP_ORDER_CAP,
                      SearchBudget, Tolerances)
 from .errors import MTooSmallError, TuranError
-from .groups import (SymmetricDomain, difference_set, make_group,
-                     subgroup_generated, symmetric_domain)
-from .harmonic import GroupFunction, autocorrelation, indicator
-from .lattice import (check_packing_periodic, density_bound_zd,
-                      explicit_witness_omega_N, interval_domain,
-                      lattice_domain, omega_N_domain, omega_N_packing,
-                      periodic_set, torus_reduction, upper_bound_z,
-                      witness_zd)
-from .packing import (GREEDY_ONLY, max_packing_set, packing_bound,
-                      tiling_bound)
+from .examples import CHECKS
+from .groups import SymmetricDomain, make_group, symmetric_domain
+from .harmonic import GroupFunction
+from .lattice import (density_bound_zd, lattice_domain, periodic_set,
+                      upper_bound_z, witness_zd)
+from .packing import GREEDY_ONLY, max_packing_set, packing_bound
 from .real_line import (IntervalUnion, TentTrain, interval_union,
-                        lattice_certificate, halving_bound,
-                        punctured_interval, tent_train, witness_in_domain)
+                        lattice_certificate, halving_bound, tent_train,
+                        witness_in_domain)
 from .spectral import compare_bounds, find_spectrum, spectral_bound
-from .turan_lp import (LPSolution, automorphism_image_constant,
-                       product_constant, quotient_bound, subgroup_bound,
-                       turan_constant, witness_ratio)
+from .turan_lp import LPSolution, turan_constant
 
 
 class SpecError(Exception):
@@ -57,10 +52,6 @@ class SpecError(Exception):
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def _decimal(x) -> str:
-    return format(float(x), ".12g")
 
 
 def _number(x) -> dict:
@@ -95,8 +86,7 @@ def _jsonable(obj):
         return {"status": obj.status,
                 "value": _decimal(obj.value),
                 "gap": _decimal(obj.gap),
-                "rational": None if obj.exact_value is None
-                else str(obj.exact_value),
+                "rational": _jsonable(obj.exact_value),
                 "diagnostics": _jsonable(obj.diagnostics)}
     if isinstance(obj, TentTrain):
         return {"c": str(obj.c), "D": [str(d) for d in obj.D],
@@ -111,12 +101,9 @@ def _jsonable(obj):
 def _bound_dict(rep: BoundReport) -> dict:
     return {"method": rep.method,
             "direction": rep.direction,
-            "value": {"decimal": _decimal(rep.value),
-                      "rational": str(Fraction(rep.value)) if rep.exact
-                      else None},
+            "value": _number(rep.value),
             "exact": rep.exact,
-            "certificate": {k: _jsonable(v)
-                            for k, v in rep.certificate.items()}}
+            "certificate": _jsonable(rep.certificate)}
 
 
 # ---------------------------------------------------------------------------
@@ -462,15 +449,15 @@ def cmd_search(args) -> int:
     if args.what == "packing":
         lam = max_packing_set(group, domain, budget)
         rep = packing_bound(group, domain, lam.elements)
+        elements = _jsonable(sorted(lam.elements, key=group.index))
         out.update({
             "found": True,
             "size": lam.size,
             "maximality": lam.maximality,
-            "Lambda": _jsonable(sorted(lam.elements, key=group.index)),
+            "Lambda": elements,
             "verification": {"packing_check": "pass",
                              "upper_bound": _number(rep.value)},
-            "hint": {"Lambda": [_jsonable(sorted(lam.elements,
-                                                 key=group.index))]},
+            "hint": {"Lambda": [elements]},
         })
     else:
         bases = _element_sets(doc.get("hints", {}), "H", group.rank)
@@ -490,12 +477,13 @@ def cmd_search(args) -> int:
             except TuranError:
                 # domain is not contained in H - H; the spectrum stands alone
                 verification["upper_bound"] = None
+            base = _jsonable(sorted(cand.H, key=group.index))
             out.update({
                 "found": True,
-                "H": _jsonable(sorted(cand.H, key=group.index)),
+                "H": base,
                 "T": _jsonable(sorted(cand.T, key=group.index)),
                 "verification": verification,
-                "hint": {"H": [_jsonable(sorted(cand.H, key=group.index))]},
+                "hint": {"H": [base]},
             })
     print(json.dumps(out, indent=2))
     return 0
@@ -510,219 +498,11 @@ def _entry(name: str, expected: str, computed: str, ok: bool) -> dict:
             "pass": bool(ok)}
 
 
-def _check_ex41():
-    G = make_group([8])
-    dom = symmetric_domain(G, [0, 1, 3, 4, 5, 7])
-    sol = turan_constant(G, dom)
-    pk = packing_bound(G, dom, [0, 2])
-    tl = tiling_bound(G, dom, [0, 1, 4, 5], [0, 2])
-    wit = witness_ratio(autocorrelation(indicator(G, [0, 1, 4, 5])), dom)
-    vals = [sol.value, float(pk.value), float(tl.value), wit.as_float()]
-    ok = sol.status == "optimal" and all(abs(v - 4) <= 1e-6 for v in vals)
-    return _entry("ex4.1", "lp = packing = tiling = witness = 4",
-                  "lp={} packing={} tiling={} witness={}".format(
-                      *(_decimal(v) for v in vals)), ok)
-
-
-def _check_ex42_odd():
-    vals = [upper_bound_z(omega_N_domain(N), Ms=[2 * N + 2]).as_float()
-            for N in (3, 5, 7)]
-    ok = all(abs(v - 2) <= 1e-6 for v in vals)
-    return _entry("ex4.2-odd", "2 for N = 3, 5, 7",
-                  " ".join(_decimal(v) for v in vals), ok)
-
-
-def _check_ex42_even():
-    ok = True
-    parts = []
-    for n in (1, 2, 3):
-        closed = 1 + 1 / math.cos(math.pi / (2 * n + 1))
-        v = upper_bound_z(omega_N_domain(2 * n),
-                          Ms=[2 * (2 * n + 1)]).as_float()
-        w = explicit_witness_omega_N(n)
-        ok = ok and abs(v - closed) <= 1e-6
-        ok = ok and abs(w.total - w.closed_form) <= 1e-9
-        ok = ok and w.grid_min >= -1e-9
-        parts.append(f"{_decimal(v)} vs {_decimal(closed)}")
-    return _entry("ex4.2-even",
-                  "1 + 1/cos(pi/(2n+1)) for n = 1, 2, 3; witness feasible",
-                  "; ".join(parts), ok)
-
-
-def _check_ex42_lstar():
-    ok = True
-    parts = []
-    for n in (1, 2, 3, 4):
-        lam = omega_N_packing(n)
-        dom = omega_N_domain(2 * n)
-        good, _ = check_packing_periodic(dom, lam)
-        bound = density_bound_zd(dom, lam)
-        closed = 1 + 1 / math.cos(math.pi / (2 * n + 1))
-        ok = ok and good and lam.density == Fraction(n, 2 * n + 1)
-        ok = ok and bound.value == Fraction(2 * n + 1, n)
-        ok = ok and bound.as_float() >= closed - 1e-9
-        if n >= 2:
-            ok = ok and bound.as_float() - closed >= 1e-3
-        parts.append(f"n={n}: {bound.value} >= {_decimal(closed)}")
-    return _entry("ex4.2-Lstar",
-                  "density n/(2n+1); bound 2 + 1/n above the exact value, "
-                  "strictly for n >= 2",
-                  "; ".join(parts), ok)
-
-
-def _check_ex44():
-    G = make_group([10])
-    dom = symmetric_domain(G, [0, 1, 3, 5, 7, 9])
-    sol = turan_constant(G, dom)
-    K = subgroup_generated(G, [2])
-    sub = subgroup_bound(G, dom, K)
-    quo = quotient_bound(G, dom, K)
-    pk = packing_bound(G, dom, [0, 2, 4, 6, 8])
-    wit = witness_ratio(autocorrelation(indicator(G, [0, 5])), dom)
-    vals = [sol.value, sub.as_float(), quo.as_float(), float(pk.value),
-            wit.as_float()]
-    ok = all(abs(v - 2) <= 1e-6 for v in vals)
-    return _entry("ex4.4", "lp = subgroup = quotient = packing = witness = 2",
-                  "lp={} subgroup={} quotient={} packing={} witness={}"
-                  .format(*(_decimal(v) for v in vals)), ok)
-
-
-def _check_ex45():
-    H = [(0, 0), (0, 1), (1, 0)]
-    pts = {(a[0] - b[0], a[1] - b[1]) for a in H for b in H}
-    dom = lattice_domain(2, pts)
-    lam = periodic_set(2, ((1, 1), (2, -1)), [(0, 0)])
-    good, _ = check_packing_periodic(dom, lam)
-    bound = density_bound_zd(dom, lam)
-    wit = witness_zd(H, dom)
-    ok = good and lam.density == Fraction(1, 3) and bound.value == 3 \
-        and abs(wit.as_float() - 3) <= 1e-9
-    return _entry("ex4.5", "density bound 3 = witness 3",
-                  f"bound={bound.value} witness={_decimal(wit.value)}", ok)
-
-
-def _check_thm43_certificate():
-    dom = punctured_interval(Fraction(3, 2), 1)
-    cert = lattice_certificate(dom, 1)
-    lows = [witness_in_domain(tent_train(1 - eps, [0]), dom).value
-            for eps in (Fraction(1, 10), Fraction(1, 100))]
-    ok = cert.value == 1 and lows == [Fraction(9, 10), Fraction(99, 100)]
-    return _entry("thm4.3-certificate",
-                  "upper 1; tents reach 9/10 and 99/100",
-                  f"upper={cert.value}; tents {lows[0]}, {lows[1]}", ok)
-
-
-def _check_thm43_sharpness():
-    dom = punctured_interval(3, 1)
-    low = witness_in_domain(tent_train(1, [0, 2]), dom)
-    ok = low.value == 2
-    return _entry("thm4.3-sharpness", "tent train certifies 2 > b = 1",
-                  f"lower={low.value}", ok)
-
-
-def _tao_instance():
-    G = make_group([2] * 12)
-    H = [tuple(1 if j == i else 0 for j in range(12)) for i in range(12)]
-    return G, H
-
-
-def _check_tao_spectrum():
-    G, H = _tao_instance()
-    search = find_spectrum(G, H)
-    cand = search.candidate
-    ok = cand is not None and cand.verified and len(cand.T) == 12
-    got = "none found" if cand is None else f"found |T|={len(cand.T)}"
-    return _entry("tao-z2-12-spectrum", "found |T|=12", got, ok)
-
-
-def _check_tao_comparison():
-    G, H = _tao_instance()
-    dom = difference_set(G, H)
-    # a proof of maximality is not needed here, any found packing will do
-    reports = compare_bounds(G, dom, {"H": [H]},
-                             budget=SearchBudget(node_limit=1_000))
-    spect = [r for r in reports if r.method == "spectral"]
-    pack = [r for r in reports if r.method == "packing"]
-    lp = [r for r in reports if r.method == "lp"]
-    low = best_lower(reports)
-    ok = bool(spect) and abs(spect[0].as_float() - 12) <= 1e-9
-    ok = ok and pack and all(len(p.certificate["Lambda"]) <= 341
-                             for p in pack)
-    ok = ok and lp and lp[0].as_float() <= 12 + 1e-6
-    ok = ok and low is not None and low.as_float() >= 12 - 1e-6
-    got = "spectral={} packing={} lp={} lower={}".format(
-        _decimal(spect[0].value) if spect else "-",
-        _decimal(min(p.as_float() for p in pack)) if pack else "-",
-        _decimal(lp[0].value) if lp else "-",
-        _decimal(low.value) if low else "-")
-    return _entry("tao-z2-12-comparison",
-                  "spectral 12 beats packing >= 4096/341; lp <= 12 + 1e-6",
-                  got, ok)
-
-
-def _check_fejer_interval():
-    ok = True
-    parts = []
-    for N in range(1, 7):
-        M = 10 * (N + 1)
-        v = upper_bound_z(interval_domain(N), Ms=[M]).as_float()
-        Gm, Om = torus_reduction(interval_domain(N), M)
-        wit = witness_ratio(autocorrelation(
-            indicator(Gm, list(range(N + 1)))), Om)
-        ok = ok and abs(v - (N + 1)) <= 1e-6
-        ok = ok and abs(wit.as_float() - (N + 1)) <= 1e-9
-        parts.append(_decimal(v))
-    return _entry("fejer-interval", "N + 1 for N = 1..6",
-                  " ".join(parts), ok)
-
-
-def _check_product_rule():
-    g1 = make_group([8])
-    d1 = symmetric_domain(g1, [0, 1, 3, 4, 5, 7])
-    g2 = make_group([4])
-    d2 = symmetric_domain(g2, [0, 1, 3])
-    s1 = turan_constant(g1, d1)
-    s2 = turan_constant(g2, d2)
-    sp = product_constant(g1, d1, g2, d2)
-    ok = abs(sp.value - s1.value * s2.value) <= 1e-6
-    return _entry("product-rule", "T(domain1 x domain2) = T1 * T2",
-                  f"{_decimal(sp.value)} vs "
-                  f"{_decimal(s1.value * s2.value)}", ok)
-
-
-def _check_automorphism_invariance():
-    G = make_group([12])
-    dom = symmetric_domain(G, [0, 1, 3, 9, 11])
-    base = turan_constant(G, dom)
-    img = automorphism_image_constant(G, dom, [5])
-    ok = abs(base.value - img.value) <= 1e-9
-    return _entry("automorphism-invariance",
-                  "LP value preserved under x -> 5x on Z_12",
-                  f"{_decimal(base.value)} vs {_decimal(img.value)}", ok)
-
-
-_CHECKS = [
-    ("ex4.1", _check_ex41),
-    ("ex4.2-odd", _check_ex42_odd),
-    ("ex4.2-even", _check_ex42_even),
-    ("ex4.2-Lstar", _check_ex42_lstar),
-    ("ex4.4", _check_ex44),
-    ("ex4.5", _check_ex45),
-    ("thm4.3-certificate", _check_thm43_certificate),
-    ("thm4.3-sharpness", _check_thm43_sharpness),
-    ("tao-z2-12-spectrum", _check_tao_spectrum),
-    ("tao-z2-12-comparison", _check_tao_comparison),
-    ("fejer-interval", _check_fejer_interval),
-    ("product-rule", _check_product_rule),
-    ("automorphism-invariance", _check_automorphism_invariance),
-]
-
-
 def cmd_verify_paper(args) -> int:
     rows = []
-    for name, fn in _CHECKS:
+    for name, expected, check in CHECKS:
         try:
-            rows.append(fn())
+            rows.append(_entry(name, expected, *check()))
         except TuranError as e:
             rows.append(_entry(name, "no error", f"error: {e}", False))
     all_pass = all(r["pass"] for r in rows)
@@ -781,15 +561,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "turan":
-            return cmd_turan(args)
-        if args.command == "search":
-            return cmd_search(args)
-        return cmd_verify_paper(args)
-    except SpecError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+        return {"turan": cmd_turan, "search": cmd_search,
+                "verify-paper": cmd_verify_paper}[args.command](args)
+    except (SpecError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except TuranError as e:

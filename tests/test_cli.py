@@ -4,10 +4,14 @@ import json
 import math
 import runpy
 import sys
+from pathlib import Path
 
 import pytest
 
 from turanlab.cli import main
+
+# verify-paper's table and JSON reports, byte for byte
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -278,6 +282,16 @@ def test_verify_paper_table(capsys):
     assert code == 0
     assert "13/13 checks passed" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv, golden", [
+    ((), "verify_paper.txt"),
+    (("--output", "json"), "verify_paper.json"),
+])
+def test_verify_paper_bytes(capsys, argv, golden):
+    code, out, _ = run(capsys, *argv, "verify-paper")
+    assert code == 0
+    assert out == (DATA / golden).read_text(encoding="utf-8")
 
 
 def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
