@@ -13,12 +13,20 @@ certificate checkers. ``fixing_transpositions`` and ``orbit_labels``
 find the coordinate swaps that fix a set and label the orbits they
 generate together with -1, for the LP's symmetry reduction.
 
+``translate`` (flat indices of v + s) pays per block of axes, not per
+axis: consecutive axes whose moduli multiply to at most ``BLOCK_LIMIT``
+share one small table of block sums, keyed by the two inputs' block
+digits, and each block's part of the result is one gather from it,
+taken in fixed-size chunks of the output. The tables depend only on a
+block's moduli, so groups that share a block share its table.
+
 Quotients and subgroup renormalization go through an exact integer Smith
 normal form so the result is again a product of cyclic groups together
 with an explicit projection / isomorphism.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -190,26 +198,134 @@ def orbit_labels(moduli: tuple[int, ...], transpositions, reps) -> np.ndarray:
     return np.minimum(flat(moduli, x), flat(moduli, nx))
 
 
+# Runs of consecutive axes whose moduli multiply to at most BLOCK_LIMIT
+# form one block of ``translate``; an axis above it is a block of its own.
+BLOCK_LIMIT = 256
+# output entries that ``translate`` gathers at once
+_CHUNK = 1 << 14
+
+
+@functools.lru_cache(maxsize=64)
+def _blocks(moduli: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(block moduli, block stride) for the blocks of ``moduli``, least
+    significant first. Order-1 axes are left out: their digit is always 0."""
+    out = []
+    block: tuple[int, ...] = ()
+    stride = 1
+    for m in reversed(moduli):
+        if m == 1:
+            continue
+        if block and math.prod(block) * m > BLOCK_LIMIT:
+            out.append((block, stride))
+            stride *= math.prod(block)
+            block = ()
+        block = (m,) + block
+    if block:
+        out.append((block, stride))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=64)
+def _sum_table(block: tuple[int, ...]) -> np.ndarray:
+    """r[a * P + b] = flat index of a + b in the block, for flat block
+    indices a, b < P = |block| <= BLOCK_LIMIT, so it fits in 8 bits.
+
+    Seen as an array over the digits of a and then of b, the index is a
+    sum of one term per axis, (a_j + b_j) mod m times the axis stride: an
+    m x m matrix broadcast into place, so the table is built with no
+    temporary larger than that. It depends only on the block's moduli,
+    so groups that share a block share it.
+    """
+    k = len(block)
+    table = np.zeros(block + block, dtype=np.uint8)
+    stride = 1
+    for j in range(k - 1, -1, -1):
+        m = block[j]
+        digit = np.arange(m)
+        term = (np.add.outer(digit, digit) % m * stride).astype(np.uint8)
+        shape = [1] * (2 * k)
+        shape[j] = shape[k + j] = m
+        table += term.reshape(shape)
+        stride *= m
+    return table.reshape(-1)
+
+
+def _chunks(shape: tuple[int, ...], size: int):
+    """Basic indices that cover an array of ``shape`` (at least 1-d) in
+    order, each selecting at most ``size`` entries."""
+    inner = math.prod(shape[1:])
+    if inner <= size:
+        step = size // max(inner, 1)
+        for a in range(0, shape[0], step):
+            yield (slice(a, a + step),)
+    else:
+        for a in range(shape[0]):
+            for rest in _chunks(shape[1:], size):
+                yield (slice(a, a + 1),) + rest
+
+
 def translate(moduli: tuple[int, ...], v, s) -> np.ndarray:
     """Flat indices of v + s for broadcastable arrays of flat indices.
 
-    The flat sum v + s is right except where a digit sum reaches its
-    modulus; one axis at a time, those entries drop that modulus times the
-    axis stride. Each input's digits are taken once, on its own shape,
-    and the only whole-result buffers are the output and one carry mask.
+    The axes fall into blocks (see ``BLOCK_LIMIT``), and the result is
+    the sum over blocks of the block's stride times the index, within
+    the block, of the sum of the two inputs' block digits. For a block
+    of several axes that index is one gather from ``_sum_table``, taken
+    in chunks of ``_CHUNK`` output entries, so the only whole-result
+    int64 buffer is the output. A block of one axis needs no table: its
+    digits are added in the flat sum, and the entries whose digit sum
+    reaches its modulus m drop m times its stride, with one carry mask.
+    Each input's block digits are taken once, on its own shape.
     """
     v = np.asarray(v, dtype=np.int64)
     s = np.asarray(s, dtype=np.int64)
-    out = np.empty(np.broadcast_shapes(v.shape, s.shape), dtype=np.int64)
-    np.add(v, s, out=out)
-    carry = np.empty(out.shape, dtype=bool)
-    stride = 1
-    for m in reversed(moduli):
-        v, v_digit = np.divmod(v, m)
-        s, s_digit = np.divmod(s, m)
-        np.greater_equal(v_digit, m - s_digit, out=carry)
-        np.subtract(out, m * stride, out=out, where=carry)
-        stride *= m
+    shape = np.broadcast_shapes(v.shape, s.shape)
+    gathers, carries = [], []
+    # v and s without the digits of the blocks that are gathered
+    v_rest, s_rest = v, s
+    v_high, s_high = v, s
+    for block, stride in _blocks(tuple(moduli)):
+        p = math.prod(block)
+        v_high, v_digit = np.divmod(v_high, p)
+        s_high, s_digit = np.divmod(s_high, p)
+        if len(block) == 1:
+            carries.append((v_digit, p - s_digit, p * stride))
+        else:
+            v_rest = v_rest - v_digit * stride
+            s_rest = s_rest - s_digit * stride
+            gathers.append((v_digit * p, s_digit, _sum_table(block),
+                            np.int64(stride)))
+    out = np.empty(shape, dtype=np.int64)
+    np.add(v_rest, s_rest, out=out)
+    for v_digit, room, drop in carries:
+        np.subtract(out, drop, out=out, where=np.greater_equal(v_digit, room))
+    if not gathers:
+        return out
+    if out.size <= _CHUNK:
+        # one piece, which the ufuncs broadcast the keys into; the
+        # ellipsis keeps a 0-d piece a view
+        pieces = [(...,)]
+    else:
+        pieces = _chunks(shape, _CHUNK)
+        gathers = [(np.broadcast_to(a, shape), np.broadcast_to(b, shape), t, w)
+                   for a, b, t, w in gathers]
+    size = min(out.size, _CHUNK)
+    key = np.empty(size, dtype=np.int64)
+    index = np.empty(size, dtype=np.uint8)
+    for ix in pieces:
+        part = out[ix]
+        k = key[:part.size].reshape(part.shape)
+        r = index[:part.size].reshape(part.shape)
+        for v_key, s_key, table, stride in gathers:
+            np.add(v_key[ix], s_key[ix], out=k)
+            # keys are in range; a mode other than "raise" skips the
+            # buffering that mode needs
+            np.take(table, k, out=r, mode="wrap")
+            if stride == 1:
+                np.add(part, r, out=part)
+            else:
+                np.multiply(r, stride, out=k)
+                np.add(part, k, out=part)
     return out
 
 

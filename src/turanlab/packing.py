@@ -188,15 +188,22 @@ def _swap_improve(shift: np.ndarray, chosen: list[int],
 
     cover[x] counts the chosen closed neighbourhoods that contain x. With
     u taken out, the free vertices are the uncovered ones and those only
-    u covers, so trying u costs O(|Omega|).
+    u covers, so trying u costs O(|Omega|). One block operation per pass
+    counts them for every u, and the pair search runs only where there
+    are at least two.
     """
     cover = np.bincount(shift[:, chosen].ravel(), minlength=shift.shape[1])
     sel = set(chosen)
     while True:
         uncovered = np.flatnonzero(cover == 0)
-        for u in sorted(sel):
+        order = sorted(sel)
+        # |free| for each u: a pair needs two free vertices
+        n_free = (cover[shift[:, order]] == 1).sum(axis=0) + len(uncovered)
+        for u, room in zip(order, n_free.tolist()):
             if deadline is not None and time.monotonic() > deadline:
-                return sorted(sel)
+                return order
+            if room < 2:
+                continue
             own = shift[:, u]
             free = np.union1d(uncovered, own[cover[own] == 1]).tolist()
             # the least pair of free, mutually non-adjacent vertices

@@ -39,6 +39,8 @@ from .packing import (branch_and_bound, max_packing_set, packing_bound,
 from .turan_lp import quotient_bound, subgroup_bound, turan_constant
 
 ZERO_TOL = 1e-9
+# entries of the |T| x |G| shift table that ``is_spectrum`` gathers at once
+_POWER_BATCH = 1 << 16
 
 
 @dataclass
@@ -119,12 +121,12 @@ def is_spectrum(group: FiniteAbelianGroup, H, T) -> SpectrumReport:
     ft = _indicator_transform(group, Hc)
     mags = np.abs(ft)
     h = len(Hc)
+    coords = np.array(Tc, dtype=np.int64).reshape(len(Tc), group.rank)
 
     # (a) Gram: right size and every nonzero difference of T kills the transform
     gram_ok = len(Tc) == h
     worst_pair = 0.0
     if gram_ok:
-        coords = np.array(Tc, dtype=np.int64).reshape(h, group.rank)
         # one array step per element, against all earlier ones: memory
         # stays O(|T|) where one step over all pairs would need |T|^2
         for i in range(1, h):
@@ -132,11 +134,19 @@ def is_spectrum(group: FiniteAbelianGroup, H, T) -> SpectrumReport:
             worst_pair = max(worst_pair, float(mags[diffs].max()))
         gram_ok = worst_pair <= ZERO_TOL * h
 
-    # (b) the power sum over shifts of T is flat at |H|^2
-    power = (mags ** 2).reshape(group.moduli if group.moduli else (1,))
-    acc = np.zeros_like(power)
-    for t in Tc:
-        acc += np.roll(power, shift=t, axis=tuple(range(group.rank)))
+    # (b) the power sum over shifts of T is flat at |H|^2. Row t of a
+    # gather through ``translate`` is power(x - t) for every x; a few rows
+    # of T at a time keep memory O(|G|) for large T, and carrying the sum
+    # into each batch's first row adds the rows in T's order, one by one
+    power = mags ** 2
+    x = np.arange(group.order, dtype=np.int64)
+    neg_t = flat(group.moduli, -coords)
+    acc = np.zeros(group.order)
+    step = max(1, _POWER_BATCH // group.order)
+    for i in range(0, len(Tc), step):
+        shifted = power[translate(group.moduli, x, neg_t[i:i + step, None])]
+        shifted[0] += acc
+        acc = shifted.sum(axis=0)
     dev = float(np.abs(acc - h * h).max())
     ident_ok = dev <= ZERO_TOL * h * h * max(1, len(Tc))
 

@@ -21,6 +21,7 @@ from turanlab import (
     subgroup_generated,
     symmetric_domain,
 )
+from turanlab import groups
 from turanlab.groups import negation_pairs, translate
 
 
@@ -99,6 +100,49 @@ def test_translate_matches_element_arithmetic():
                  for b in v] for a in s]
         assert got.tolist() == want, moduli
         assert int(translate(moduli, int(v[0]), int(s[0]))) == want[0][0]
+
+
+def _translate_by_elements(G, v, s):
+    """translate(moduli, v[None, :], s[:, None]) by element arithmetic."""
+    els = G.elements()
+    return [[G.index(G.add(els[b], els[a])) for b in v] for a in s]
+
+
+@pytest.mark.parametrize("moduli", [
+    (2,) * 12, (3,) * 7, (4,) * 6, (16, 16), (256,), (257,), (2, 128, 2),
+    (4099,), (1, 2, 1, 3, 1), (1, 4099, 1, 2), (1,), ()])
+def test_translate_across_block_boundaries(moduli):
+    # runs of axes up to the block limit, an axis alone at and above it,
+    # an axis split off a full block, and order-1 axes between them
+    G = make_group(moduli)
+    rng = random.Random(90109)
+    pick = lambda k: np.array([rng.randrange(G.order) for _ in range(k)])
+    v, s = pick(40), pick(30)
+    got = translate(moduli, v[None, :], s[:, None])
+    assert got.dtype == np.int64
+    assert got.tolist() == _translate_by_elements(G, v, s)
+    # scalars give a 0-d result
+    assert translate(moduli, int(v[0]), int(s[0])).shape == ()
+    assert int(translate(moduli, int(v[0]), int(s[0]))) == got[0, 0]
+    assert int(translate(moduli, np.int64(v[1]), s[1])) == got[1, 1]
+
+
+@pytest.mark.parametrize("moduli", [(2,) * 12, (3,) * 9, (4, 4, 4, 4, 4, 4, 4)])
+def test_translate_broadcasts_in_chunks(moduli):
+    # an (|Omega|, |G|) shift table and a 3-d broadcast whose rows are
+    # longer than one gather chunk match element arithmetic everywhere
+    G = make_group(moduli)
+    rng = random.Random(90110)
+    omega = np.array(rng.sample(range(G.order), 5))
+    vertices = np.arange(G.order)
+    table = translate(moduli, vertices[None, :], omega[:, None])
+    assert table.shape == (5, G.order) and table.size > groups._CHUNK
+    assert table.tolist() == _translate_by_elements(G, vertices, omega)
+    wide = translate(moduli, vertices[None, None, :], omega[:, None, None])
+    assert wide.shape == (5, 1, G.order)
+    assert np.array_equal(wide[:, 0], table)
+    assert np.array_equal(translate(moduli, omega[None, :], vertices[:, None]),
+                          table.T)
 
 
 def test_element_order_hand_and_lagrange():

@@ -4,7 +4,9 @@ Every option a caller may set is named here, so that a new one is a
 deliberate change to this list. Values that no caller sets are module
 constants instead (``simplex.PIVOT_TOL``; ``simplex.STALL_LIMIT``, the
 pivots without progress before a lift, and ``simplex.LIFT_SCALE``, the
-size of that lift; ``spectral.ZERO_TOL``; the ``config`` caps).
+size of that lift; ``spectral.ZERO_TOL``; ``groups.BLOCK_LIMIT``, the
+largest product of moduli that ``translate`` handles with one table;
+the ``config`` caps).
 """
 from __future__ import annotations
 

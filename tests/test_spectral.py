@@ -4,9 +4,11 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import turanlab as tl
+from turanlab import examples, groups, spectral
 from turanlab import (
     CertificateInvalidError,
     SearchBudget,
@@ -35,6 +37,60 @@ def test_is_spectrum_hand_cases():
     assert not is_spectrum(G, [0, 1], [0]).flag  # size mismatch
     with pytest.raises(ValueError):
         is_spectrum(G, [], [0])
+
+
+def _roll_diagnostics(G, H, T):
+    """is_spectrum's two verdicts and diagnostics with the power sum taken
+    as it was before it went through ``groups.translate``: one ``np.roll``
+    of the power spectrum per element of T, added in T's order."""
+    Hc = sorted({G.canon(x) for x in H}, key=G.index)
+    Tc = sorted({G.canon(x) for x in T}, key=G.index)
+    mags = np.abs(spectral._indicator_transform(G, Hc))
+    h = len(Hc)
+    worst = 0.0
+    gram_ok = len(Tc) == h
+    if gram_ok:
+        coords = np.array(Tc, dtype=np.int64).reshape(h, G.rank)
+        for i in range(1, h):
+            diffs = groups.flat(G.moduli, coords[i] - coords[:i])
+            worst = max(worst, float(mags[diffs].max()))
+        gram_ok = worst <= spectral.ZERO_TOL * h
+    power = (mags ** 2).reshape(G.moduli or (1,))
+    acc = np.zeros_like(power)
+    for t in Tc:
+        acc += np.roll(power, shift=t, axis=tuple(range(G.rank)))
+    dev = float(np.abs(acc - h * h).max())
+    ident_ok = dev <= spectral.ZERO_TOL * h * h * max(1, len(Tc))
+    return gram_ok, ident_ok, {"worst_offdiagonal": worst,
+                               "identity_deviation": dev,
+                               "|H|": h, "|T|": len(Tc)}
+
+
+def test_is_spectrum_diagnostics_match_the_roll_sum():
+    G, H, _ = examples.hypercube()
+    cases = [(G, H, find_spectrum(G, H).candidate.T)]
+    rng = random.Random(90612)
+    for moduli in ([2] * 6, [2, 2, 3], [6, 4], [12]):
+        G = make_group(moduli)
+        els = G.elements()
+        for _ in range(12):
+            k = rng.randint(1, min(8, G.order))
+            H = rng.sample(els, k)
+            cases.append((G, H, rng.sample(els, rng.choice([k, k, k + 1]))))
+            search = find_spectrum(G, H)
+            if search.candidate is not None:
+                cases.append((G, H, search.candidate.T))
+    flags = []
+    for G, H, T in cases:
+        gram_ok, ident_ok, want = _roll_diagnostics(G, H, T)
+        assert gram_ok == ident_ok, (G.moduli, H, T)
+        report = is_spectrum(G, H, T)
+        assert report.flag == gram_ok
+        # bit for bit: the same additions in the same order
+        assert ({k: float(v).hex() for k, v in report.diagnostics.items()}
+                == {k: float(v).hex() for k, v in want.items()}), (G.moduli, H, T)
+        flags.append(report.flag)
+    assert flags[0] and 10 <= sum(flags) < len(flags)
 
 
 def test_find_spectrum_hand_cases():
