@@ -251,8 +251,12 @@ def _sum_table(block: tuple[int, ...]) -> np.ndarray:
 
 
 def _chunks(shape: tuple[int, ...], size: int):
-    """Basic indices that cover an array of ``shape`` (at least 1-d) in
-    order, each selecting at most ``size`` entries."""
+    """Basic indices that cover an array of ``shape`` in order, each
+    selecting at most ``size`` entries; an array that fits in one is one
+    ``...``, which keeps a 0-d piece a view."""
+    if math.prod(shape) <= size:
+        yield (...,)
+        return
     inner = math.prod(shape[1:])
     if inner <= size:
         step = size // max(inner, 1)
@@ -301,18 +305,12 @@ def translate(moduli: tuple[int, ...], v, s) -> np.ndarray:
         np.subtract(out, drop, out=out, where=np.greater_equal(v_digit, room))
     if not gathers:
         return out
-    if out.size <= _CHUNK:
-        # one piece, which the ufuncs broadcast the keys into; the
-        # ellipsis keeps a 0-d piece a view
-        pieces = [(...,)]
-    else:
-        pieces = _chunks(shape, _CHUNK)
-        gathers = [(np.broadcast_to(a, shape), np.broadcast_to(b, shape), t, w)
-                   for a, b, t, w in gathers]
+    gathers = [(np.broadcast_to(a, shape), np.broadcast_to(b, shape), t, w)
+               for a, b, t, w in gathers]
     size = min(out.size, _CHUNK)
     key = np.empty(size, dtype=np.int64)
     index = np.empty(size, dtype=np.uint8)
-    for ix in pieces:
+    for ix in _chunks(shape, _CHUNK):
         part = out[ix]
         k = key[:part.size].reshape(part.shape)
         r = index[:part.size].reshape(part.shape)
@@ -324,7 +322,9 @@ def translate(moduli: tuple[int, ...], v, s) -> np.ndarray:
             if stride == 1:
                 np.add(part, r, out=part)
             else:
-                np.multiply(r, stride, out=k)
+                # an int64 loop: under value-based casting (numpy 1.x) a
+                # stride below 256 would otherwise multiply in uint8 and wrap
+                np.multiply(r, stride, out=k, dtype=np.int64)
                 np.add(part, k, out=part)
     return out
 
