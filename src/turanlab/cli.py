@@ -19,6 +19,7 @@ failure, 2 a certificate or verification failed, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -529,6 +530,9 @@ class _Parser(argparse.ArgumentParser):
         raise SpecError(message)
 
 
+# built once per process: parsing leaves the parser as it was, and a
+# parser per call would leave its reference cycles to the collector
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="turanlab",
                 description="Bounds for extremal positive definite "

@@ -19,6 +19,14 @@ what the search uses; branching lowest-index-first with the include
 branch explored first makes the first optimum found the lexicographically
 least one.
 
+A clique bounds every packing from above: if C - C lies in Omega, the
+|G| translates x + C hold at most one point of a packing Lambda each and
+cover every vertex |C| times, so |Lambda| |C| <= |G| (the clique-coclique
+bound of a vertex-transitive graph). Before it searches, ``max_packing_set``
+asks the same branch and bound, on Omega's own vertices, for a clique
+through 0 large enough to cap packings at the greedy set's size; when
+one exists the greedy set is proven maximal without a search node.
+
 Every packing step reads one integer table, shift[k, v] = index(v +
 omega_k), built by one ``groups.translate`` call: the greedy scan clears a
 boolean array, the swap pass keeps coverage counts, and the branch and
@@ -219,6 +227,35 @@ def _swap_improve(shift: np.ndarray, chosen: list[int],
             return sorted(sel)
 
 
+def _greedy_is_maximal(shift: np.ndarray, omega: np.ndarray, g: int,
+                       node_limit: int, deadline: float | None) -> bool:
+    """Does a clique inside Omega prove that no packing beats g points?
+
+    A clique through 0 caps packings at |G| // k points (see
+    ``max_packing_set``), so one of k = |G| // (g + 1) + 1 vertices, the
+    least k with |G| // k <= g, proves g maximal. Its vertices are
+    elements of Omega, pairwise adjacent: ``branch_and_bound`` runs on
+    the complement of Omega's induced subgraph, where omega_j - omega_i
+    lies in Omega exactly when omega_j lies in omega_i + Omega, the
+    column of ``shift`` at omega_i.
+    """
+    n, m = shift.shape[1], len(omega)
+    k = n // (g + 1) + 1
+    if k > m:
+        return False
+    # position in Omega of every vertex, m for the ones outside it
+    position = np.full(n, m, dtype=np.int64)
+    position[omega] = np.arange(m)
+
+    def keep(i):
+        row = position[shift[:, omega[i]]]
+        return vertex_mask(row[(row < m) & (row != i)], m)
+
+    found, _nodes, _cut = branch_and_bound(keep, k - 1, k, node_limit,
+                                           deadline)
+    return found is not None
+
+
 def max_packing_set(group: FiniteAbelianGroup, domain: SymmetricDomain,
                     budget: SearchBudget = DEFAULT_BUDGET) -> PackingSet:
     """Largest packing set by branch and bound, greedy seeded.
@@ -230,6 +267,17 @@ def max_packing_set(group: FiniteAbelianGroup, domain: SymmetricDomain,
     packing, so still usable for bounds) with the greedy-only flag.
     ``nodes`` counts the search nodes visited, the one that hit the node
     budget included; it is 0 when no search ran.
+
+    Before the search, a clique can prove the greedy set of g points
+    maximal. If C - C lies in Omega, each translate x + C holds at most
+    one point of a packing Lambda (two would differ by a nonzero element
+    of C - C), and every vertex lies in exactly |C| of the |G| translates,
+    so |Lambda| |C| = sum over x of |(x + C) & Lambda| <= |G|. A clique
+    through 0 of k = |G| // (g + 1) + 1 vertices therefore caps every
+    packing at |G| // k <= g points: the greedy set is returned as
+    proven-max with 0 nodes. The clique search runs under the same node
+    limit and deadline, and its nodes are not counted in ``nodes``; when
+    it finds no such clique the packing search runs as without it.
     """
     n = group.order
     # shift[k, v] = index(v + omega_k), Omega in enumeration order: column
@@ -246,6 +294,11 @@ def max_packing_set(group: FiniteAbelianGroup, domain: SymmetricDomain,
         improved = _swap_improve(shift, greedy, deadline)
         elems = tuple(group.element(v) for v in improved)
         return PackingSet(group, elems, True, GREEDY_ONLY, nodes=0)
+
+    if _greedy_is_maximal(shift, omega, len(greedy), budget.node_limit,
+                          deadline):
+        elems = tuple(group.element(v) for v in greedy)
+        return PackingSet(group, elems, True, PROVEN_MAX, nodes=0)
 
     full = (1 << n) - 1
     found, nodes, cut = branch_and_bound(

@@ -587,6 +587,26 @@ def test_identical_runs_emit_identical_bytes(tmp_path, capsys):
     assert first == second
 
 
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    # main keeps one parser per process; a usage error between two calls
+    # leaves it as it was, and no option of one call leaks into the next,
+    # so every call prints the bytes a freshly built parser gives
+    from turanlab.cli import build_parser
+    path = problem(tmp_path, EX_Z8)
+    calls = [("--output", "table", "turan", path),
+             ("search", path),  # missing --what: exit 1
+             ("turan", path),
+             ("search", path, "--what", "packing")]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    reused = [run(capsys, *argv) for argv in calls]
+    assert build_parser() is build_parser()
+    assert [code for code, _, _ in fresh] == [0, 1, 0, 0]
+    assert reused == fresh
+
+
 def test_table_output(tmp_path, capsys):
     code, out, _ = run(capsys, "--output", "table", "turan",
                        problem(tmp_path, EX_Z8))

@@ -4,9 +4,9 @@ The search oracle enumerates every subset of the group by bitmask for
 |G| <= 12, so the branch and bound answer is compared against a truly
 independent maximum. The greedy-only path is pinned to a bitmask greedy
 and swap pass kept here as the reference, the branch and bound to a
-tuple-node search from the root {0} (node counts included) and to the
-full tree it searched before it fixed 0, and the packing check to a
-pairwise scan.
+tuple-node search from the root {0} (node counts included), behind the
+same clique certificate, and to the full tree it searched before it fixed
+0, and the packing check to a pairwise scan.
 """
 from __future__ import annotations
 
@@ -108,13 +108,40 @@ def _reference_swaps(masks, chosen) -> list[int]:
     return sorted(sel)
 
 
+def _reference_clique(masks, k, node_limit) -> bool:
+    """Is there a clique of k vertices through 0 inside Omega, found within
+    node_limit nodes? Tuple-node search, lowest candidate first, include
+    branch first, on the neighbours of 0 (masks[0] is Omega)."""
+    nodes = 0
+    stack = [(masks[0] & ~1, (0,))]
+    while stack:
+        nodes += 1
+        if nodes > node_limit:
+            return False
+        cand, chosen = stack.pop()
+        if len(chosen) + cand.bit_count() < k:
+            continue
+        if len(chosen) == k:
+            return True
+        v = (cand & -cand).bit_length() - 1
+        if cand & ~masks[v]:
+            stack.append((cand & ~(1 << v), chosen))
+        stack.append((cand & masks[v] & ~(1 << v), chosen + (v,)))
+    return False
+
+
 def _reference_search(masks, node_limit, from_zero=True):
     """Branch and bound on (candidate mask, chosen tuple) nodes, greedy
     seeded, from the root {0}; with from_zero=False from the empty set, the
-    full tree the search explored before it fixed 0. Returns (best
+    full tree the search explored before it fixed 0. From the root {0} a
+    clique of |G| // (g + 1) + 1 vertices inside Omega, g the greedy size,
+    first proves the greedy set maximal with 0 nodes. Returns (best
     vertices, exhausted, nodes)."""
     full = (1 << len(masks)) - 1
     best = _reference_greedy(masks)
+    if from_zero and _reference_clique(
+            masks, len(masks) // (len(best) + 1) + 1, node_limit):
+        return best, False, 0
     nodes = 0
     stack = [(full & ~masks[0], (0,))] if from_zero else [(full, ())]
     while stack:
@@ -230,11 +257,12 @@ def test_max_packing_matches_bitmask_oracle():
 
 def test_search_matches_reference_branch_and_bound():
     # same sets, flags and node counts as the tuple-node search from the
-    # root {0}, with and without node-budget cuts; against the full tree
+    # root {0} behind the same clique certificate (0 nodes where it fires),
+    # with and without node-budget cuts; against the full tree
     # (root: the empty set) the same sets, never greedy-only where the
     # full tree proved the maximum, and never more nodes
     rng = random.Random(90505)
-    cut = improved = 0
+    cut = improved = certified = 0
     for case in range(200):
         r = rng.random()
         moduli = [rng.randint(1, 40)] if r < 0.4 else \
@@ -249,6 +277,7 @@ def test_search_matches_reference_branch_and_bound():
         masks = _closed_masks(G, dom)
         best, exhausted, nodes = _reference_search(masks, limit)
         cut += exhausted
+        certified += nodes == 0
         found = max_packing_set(G, dom, SearchBudget(node_limit=limit))
         assert ([G.index(x) for x in found.elements],
                 found.maximality == GREEDY_ONLY, found.nodes) == \
@@ -261,6 +290,7 @@ def test_search_matches_reference_branch_and_bound():
         improved += full_exhausted and not exhausted
     assert cut >= 20
     assert improved >= 10
+    assert certified >= 100
 
 
 def test_budget_exhaustion_keeps_valid_packing():
@@ -316,20 +346,82 @@ def test_greedy_path_matches_reference_greedy_and_swaps(monkeypatch):
 
 
 def test_large_cyclic_greedy_and_check():
-    # 65536 vertices: far above the search cap; multiples of 3 are greedy's
+    # 65536 vertices: far above the search cap; multiples of 3 are greedy's.
+    # The clique {0, 1, 2} would prove 21845 = 65536 // 3 maximal, but the
+    # certificate runs on the exact-search path only
     G = make_group([65536])
     dom = symmetric_domain(G, [0, 1, -1, 2, -2])
     found = max_packing_set(G, dom)
-    assert found.maximality == GREEDY_ONLY
-    assert found.size == 21845
+    assert found.maximality == GREEDY_ONLY and found.nodes == 0
+    assert found.size == 21845 == G.order // 3
     assert packing_bound(G, dom, found).value == Fraction(65536, 21845)
 
 
-def test_search_reports_its_node_count(monkeypatch):
+# every finite abelian group of order at most 16, in invariant factors
+_SMALL_GROUPS = [[n] for n in range(1, 17)] + [
+    [2, 2], [2, 4], [2, 2, 2], [3, 3], [2, 6], [2, 8], [4, 4], [2, 2, 4],
+    [2, 2, 2, 2]]
+
+
+def test_certified_sets_match_bitmask_oracle():
+    # a proven maximum is the true maximum whether the clique certificate
+    # or the search proved it; a certified set is the greedy set, with 0
+    # nodes, also under a node limit that cuts most searches
+    rng = random.Random(90506)
+    certified = searched = 0
+    for moduli in _SMALL_GROUPS:
+        G = make_group(moduli)
+        for case in range(8):
+            elems = {G.identity()}
+            for x in rng.sample(G.elements(), min(G.order, rng.randint(0, 5))):
+                elems.update((x, G.neg(x)))
+            dom = symmetric_domain(G, elems)
+            want = _brute_max_packing(G, dom)
+            greedy = _reference_greedy(_closed_masks(G, dom))
+            for limit in (5, 20_000):
+                found = max_packing_set(G, dom, SearchBudget(node_limit=limit))
+                where = f"{moduli} {sorted(dom.elements)} limit {limit}"
+                if found.maximality == PROVEN_MAX:
+                    assert found.size == want, where
+                if found.nodes == 0:
+                    assert found.maximality == PROVEN_MAX, where
+                    assert [G.index(x) for x in found.elements] == greedy, \
+                        where
+                    certified += 1
+                else:
+                    searched += 1
+            assert found.maximality == PROVEN_MAX
+    assert certified >= 300 and searched >= 30
+
+
+def test_hypercube_difference_set_is_certified_at_once():
+    # H - H for the basis H of Z_2^8: greedy finds 32 points, and the star
+    # {0} + {e_1 + e_j} is a clique of 8, so 256 / 8 = 32 caps any packing
+    k = 8
+    G = make_group([2] * k)
+    basis = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    dom = tl.difference_set(G, basis)
+    found = max_packing_set(G, dom, SearchBudget(node_limit=20_000))
+    assert (found.size, found.maximality, found.nodes) == (32, PROVEN_MAX, 0)
+    assert check_packing_set(G, dom, found.elements) == (True, None)
+
+
+def test_cyclic_interval_is_certified_at_once():
+    # Z_12 with {0, +-1}: greedy takes the 6 even points, and the clique
+    # {0, 1} caps any packing at 12 / 2 = 6
     G = make_group([12])
-    dom = symmetric_domain(G, [0, 1, 11])
+    dom = symmetric_domain(G, [0, 1, -1])
+    found = max_packing_set(G, dom)
+    assert (found.size, found.maximality, found.nodes) == (6, PROVEN_MAX, 0)
+
+
+def test_search_reports_its_node_count(monkeypatch):
+    # Z_17 with {0, +-5}: greedy 7, maximum 8, and Omega's largest clique
+    # has 2 vertices, too few to prove 7 maximal, so the search runs
+    G = make_group([17])
+    dom = symmetric_domain(G, [0, 5, -5])
     full = max_packing_set(G, dom)
-    assert full.maximality == PROVEN_MAX
+    assert full.maximality == PROVEN_MAX and full.size == 8
     assert full.nodes > 0
     for limit in (1, full.nodes // 2, full.nodes - 1):
         cut = max_packing_set(G, dom, SearchBudget(node_limit=limit))
