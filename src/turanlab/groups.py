@@ -3,15 +3,24 @@
 A group is a tuple of moduli (n_1, ..., n_k); elements are coordinate
 tuples with 0 <= x_i < n_i. Enumeration order is mixed-radix
 lexicographic on the coordinates (first coordinate most significant), and
-every module downstream relies on that order for determinism.
+every module downstream relies on that order for determinism. The flat
+index of x is sum x_i w_i with the strides w_i = n_{i+1} ... n_k, so
+reduced tuples sort in flat index order.
 
-This module is the one home of that index arithmetic: ``index`` and
-``element`` convert single elements, and ``digits``, ``flat``,
-``negation_pairs`` and ``translate`` do the same on numpy arrays of flat
-indices for the LP, the packing and spectrum searches and the
-certificate checkers. ``fixing_transpositions`` and ``orbit_labels``
-find the coordinate swaps that fix a set and label the orbits they
-generate together with -1, for the LP's symmetry reduction.
+This module is the one home of that index arithmetic. ``canon``,
+``index`` and ``element`` read, encode and decode one element.
+``FiniteAbelianGroup.indices`` and ``elements_at`` do the same for a
+whole collection at once, and the certificate checkers, the packing and
+spectrum searches and the LP build go through them instead of looping
+over points; ``SymmetricDomain.indices`` keeps a domain's sorted flat
+indices. On numpy arrays of flat indices, ``digits`` and ``flat`` are
+one broadcast step against the stride vector of the moduli, cached per
+moduli in int64; a group of order above 2**63, whose indices do not fit
+in int64, is refused there with a ValueError rather than wrapped.
+``negation_pairs``, ``difference_indices``, ``member_mask`` and
+``translate`` work on such arrays too. ``fixing_transpositions`` and
+``orbit_labels`` find the coordinate swaps that fix a set and label the
+orbits they generate together with -1, for the LP's symmetry reduction.
 
 ``translate`` (flat indices of v + s) pays per block of axes, not per
 axis: consecutive axes whose moduli multiply to at most ``BLOCK_LIMIT``
@@ -30,6 +39,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import index
 from typing import Callable, Iterable, Sequence
 
@@ -90,6 +100,35 @@ class FiniteAbelianGroup:
             i //= m
         return tuple(reversed(coords))
 
+    def indices(self, xs) -> np.ndarray:
+        """Flat indices (int64) of a collection of elements, each read as
+        ``canon`` reads one. Integer rows that fit in int64 are reduced
+        and encoded in one array step; any other spelling (Python ints
+        beyond int64, floats, mixed spellings) and any wrong rank go
+        through ``canon``, so they reduce or raise exactly as it does.
+        """
+        if not isinstance(xs, (list, tuple, np.ndarray)):
+            xs = list(xs)
+        if not len(xs):
+            return np.empty(0, dtype=np.int64)
+        k = len(self.moduli)
+        try:
+            a = np.asarray(xs)
+        except ValueError:  # ragged: mixed spellings or ranks
+            a = None
+        if a is not None and a.ndim == 1 and k == 1:
+            a = a[:, None]  # bare integers on a rank-1 group
+        # bool and integer types that int64 holds: not uint64
+        if (a is None or a.shape != (len(xs), k) or not (
+                a.dtype.kind in "bi" or a.dtype.kind == "u" and a.itemsize < 8)):
+            a = np.array([self.canon(x) for x in xs],
+                         dtype=np.int64).reshape(len(xs), k)
+        return flat(self.moduli, a)
+
+    def elements_at(self, idx) -> list[Element]:
+        """The elements at flat indices ``idx``, as tuples of Python ints."""
+        return list(map(tuple, digits(self.moduli, idx).tolist()))
+
     def elements(self) -> list[Element]:
         """Every element, in flat index order; a fresh list per call."""
         return list(itertools.product(*map(range, self.moduli)))
@@ -106,22 +145,56 @@ def _element_coords(x):
     return (x,) if isinstance(x, (int, np.integer)) else x
 
 
-def digits(moduli: tuple[int, ...], idx) -> np.ndarray:
-    """Mixed-radix coordinates of flat indices, one trailing axis per factor."""
-    rest = np.asarray(idx, dtype=np.int64)
-    out = np.empty(rest.shape + (len(moduli),), dtype=np.int64)
-    for j in range(len(moduli) - 1, -1, -1):
-        rest, out[..., j] = np.divmod(rest, moduli[j])
+@functools.lru_cache(maxsize=64)
+def _radix(moduli: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The moduli and their strides as read-only int64 vectors. A group of
+    order above 2**63 has flat indices beyond int64 and is refused: int64
+    strides would wrap without an error."""
+    order = math.prod(moduli)
+    if order > 1 << 63:
+        raise ValueError(f"group of order {order} has flat indices beyond "
+                         "the int64 range")
+    strides = [math.prod(moduli[j + 1:]) for j in range(len(moduli))]
+    out = (np.array(moduli, dtype=np.int64), np.array(strides, dtype=np.int64))
+    for a in out:
+        a.flags.writeable = False
     return out
+
+
+def digits(moduli: tuple[int, ...], idx) -> np.ndarray:
+    """Mixed-radix coordinates of flat indices, one trailing axis per
+    factor: floor(idx / w_j) mod n_j on every axis at once."""
+    mods, strides = _radix(tuple(moduli))
+    return np.asarray(idx, dtype=np.int64)[..., None] // strides % mods
 
 
 def flat(moduli: tuple[int, ...], coords: np.ndarray) -> np.ndarray:
     """Flat indices of coordinates reduced modulo the group, the inverse
-    of ``digits``."""
-    idx = np.zeros(coords.shape[:-1], dtype=np.int64)
-    for j, m in enumerate(moduli):
-        idx = idx * m + coords[..., j] % m
-    return idx
+    of ``digits``: sum (x_j mod n_j) w_j over the trailing axis."""
+    mods, strides = _radix(tuple(moduli))
+    return (np.asarray(coords) % mods * strides).sum(axis=-1)
+
+
+def member_mask(table: np.ndarray, idx) -> np.ndarray:
+    """Which of the flat indices ``idx`` lie in the ascending, distinct
+    flat indices ``table``: one binary search each."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if not len(table):
+        return np.zeros(idx.shape, dtype=bool)
+    return table.take(np.searchsorted(table, idx), mode="clip") == idx
+
+
+def sorted_distinct(idx: np.ndarray) -> np.ndarray:
+    """The distinct values of ``idx`` in ascending order: one sort and an
+    adjacent comparison, which on a few points costs far less than
+    ``np.unique``."""
+    idx = np.sort(idx, axis=None)
+    if idx.size < 2:
+        return idx
+    keep = np.empty(idx.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(idx[1:], idx[:-1], out=keep[1:])
+    return idx[keep]
 
 
 def negation_pairs(moduli: tuple[int, ...], idx) -> tuple[np.ndarray, np.ndarray]:
@@ -131,9 +204,17 @@ def negation_pairs(moduli: tuple[int, ...], idx) -> tuple[np.ndarray, np.ndarray
     ``idx``: the smaller flat index, or the only one present."""
     idx = np.asarray(idx, dtype=np.int64)
     neg = flat(moduli, -digits(moduli, idx))
-    present = idx.take(np.searchsorted(idx, neg), mode="clip") == neg
-    keep = (idx > 0) & ((idx <= neg) | ~present)
+    keep = (idx > 0) & ((idx <= neg) | ~member_mask(idx, neg))
     return idx[keep], np.where(idx[keep] == neg[keep], 1, 2)
+
+
+def difference_indices(moduli: tuple[int, ...], idx) -> np.ndarray:
+    """The ascending, distinct flat indices of a - b for a, b in ``idx``.
+    An empty ``idx`` is a ValueError: its difference set is no domain."""
+    x = digits(moduli, idx)
+    if not len(x):
+        raise ValueError("difference set of an empty set")
+    return sorted_distinct(flat(moduli, x[:, None] - x[None, :]))
 
 
 def fixing_transpositions(moduli: tuple[int, ...], idx) -> np.ndarray:
@@ -153,8 +234,7 @@ def fixing_transpositions(moduli: tuple[int, ...], idx) -> np.ndarray:
         return np.empty((0, 2), dtype=np.int64)
     i, j = np.array(swaps).T
     idx = np.asarray(idx, dtype=np.int64)
-    mods = np.asarray(moduli, dtype=np.int64)
-    strides = np.cumprod(np.concatenate(([1], mods[:0:-1])))[::-1]
+    strides = _radix(tuple(moduli))[1]
     x = digits(moduli, idx)
     moved = idx[:, None] + (x[:, j] - x[:, i]) * (strides[i] - strides[j])
     member = np.zeros(math.prod(moduli), dtype=bool)
@@ -191,7 +271,7 @@ def orbit_labels(moduli: tuple[int, ...], transpositions, reps) -> np.ndarray:
     if not blocks:
         return reps
     x = digits(moduli, reps)
-    nx = -x % np.asarray(moduli, dtype=np.int64)
+    nx = -x % _radix(tuple(moduli))[0]
     for b in blocks:
         x[:, b] = np.sort(x[:, b], axis=1)
         nx[:, b] = np.sort(nx[:, b], axis=1)
@@ -359,7 +439,15 @@ class SymmetricDomain:
         return len(self.elements)
 
     def sorted_elements(self) -> list[Element]:
-        return sorted(self.elements, key=self.group.index)
+        """The elements in flat index order: reduced tuples sort in it."""
+        return sorted(self.elements)
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        """The ascending flat indices of the elements (read-only)."""
+        idx = np.sort(self.group.indices(list(self.elements)))
+        idx.flags.writeable = False
+        return idx
 
     def __contains__(self, x) -> bool:
         try:
@@ -385,11 +473,12 @@ def symmetric_domain(group: FiniteAbelianGroup, elements: Iterable) -> Symmetric
 
 def difference_set(group: FiniteAbelianGroup, subset: Iterable) -> SymmetricDomain:
     """H - H as a symmetric domain (always symmetric, always contains 0)."""
-    pts = [group.canon(h) for h in subset]
-    if not pts:
-        raise ValueError("difference set of an empty set")
-    diffs = {group.sub(a, b) for a in pts for b in pts}
-    return SymmetricDomain(group, frozenset(diffs))
+    diffs = difference_indices(group.moduli, group.indices(subset))
+    diffs.flags.writeable = False
+    domain = SymmetricDomain(group, frozenset(group.elements_at(diffs)))
+    # the sorted flat indices are at hand: fill the domain's cache
+    domain.__dict__["indices"] = diffs
+    return domain
 
 
 # ---------------------------------------------------------------------------

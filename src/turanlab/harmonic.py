@@ -79,7 +79,7 @@ class GroupFunction:
         return float(self.values[self.group.index(self.group.canon(x))])
 
     def support(self) -> list[Element]:
-        return [self.group.element(i) for i in np.flatnonzero(self.values)]
+        return self.group.elements_at(np.flatnonzero(self.values))
 
     def total(self) -> float:
         return float(self.values.sum())
@@ -119,8 +119,7 @@ def delta(group: FiniteAbelianGroup) -> GroupFunction:
 
 def indicator(group: FiniteAbelianGroup, subset: Iterable) -> GroupFunction:
     v = np.zeros(group.order)
-    for x in subset:
-        v[group.index(group.canon(x))] = 1.0
+    v[group.indices(subset)] = 1.0
     return GroupFunction(group, v)
 
 
@@ -210,8 +209,8 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
     shape = G.moduli
     bb = b.values.reshape(shape)
     acc = np.zeros(shape)
-    for i in np.flatnonzero(a.values):
-        y = G.element(int(i))
+    support = np.flatnonzero(a.values)
+    for i, y in zip(support, G.elements_at(support)):
         acc += a.values[i] * np.roll(bb, shift=y, axis=tuple(range(G.rank)))
     return GroupFunction(G, acc.reshape(-1))
 

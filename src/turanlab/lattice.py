@@ -22,7 +22,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (CertificateInvalidError, DomainNotSymmetricError,
                      MTooSmallError, WitnessRejectedError)
 from .groups import (FiniteAbelianGroup, SymmetricDomain, _element_coords,
-                     make_group, symmetric_domain)
+                     make_group, sorted_distinct, symmetric_domain)
 from .packing import greedy_scan
 from .rational import adjugate
 from .turan_lp import turan_constant
@@ -167,7 +167,12 @@ class OmegaNWitness:
     p(x) = 1 + 2 f1 cos x + 2 f2n cos(2n x) stays nonnegative and its
     value at 0 realizes the constant 1 + 1/cos(pi/(2n+1)); the zero at
     x = pi + pi/(2n+1) is what pins optimality. ``grid_min`` is the least
-    value of p on 100 000 equally spaced points of [0, 2 pi).
+    value of p on the grid of 100 000 equally spaced points 2 pi k / 100 000
+    of [0, 2 pi). p is even and the grid is mirror-symmetric about pi, so
+    p is evaluated at the points k <= 50 000 only. The float values at a
+    point and at its mirror image can differ in their last bits, so where
+    the least one lies past pi, ``grid_min`` can differ from a minimum over
+    the whole grid in its last digits.
     """
 
     n: int
@@ -186,7 +191,8 @@ def explicit_witness_omega_N(n: int) -> OmegaNWitness:
     c = math.cos(math.pi / (2 * n + 1))
     f1 = n / ((2 * n + 1) * c)
     f2n = 1 / (2 * (2 * n + 1) * c)
-    xs = np.linspace(0.0, 2.0 * math.pi, 100_000, endpoint=False)
+    # the grid's points up to pi: the rest mirror them
+    xs = np.linspace(0.0, 2.0 * math.pi, 100_000, endpoint=False)[:50_001]
     p = 1.0 + 2 * f1 * np.cos(xs) + 2 * f2n * np.cos(2 * n * xs)
     z0 = math.pi + math.pi / (2 * n + 1)
     binding = 1.0 + 2 * f1 * math.cos(z0) + 2 * f2n * math.cos(2 * n * z0)
@@ -285,21 +291,44 @@ def check_packing_periodic(domain: LatticeDomain,
                            lam: PeriodicSet) -> tuple[bool, Point | None]:
     """Does the domain avoid all nonzero differences of the periodic set?
 
-    Differences form residues r1 - r2 shifted by the sublattice, so each
-    domain point is tested with the exact membership rule; no reach
-    truncation is involved.
+    Returns (ok, the least nonzero domain point that is a difference).
+    Differences form residues r1 - r2 shifted by the sublattice, so x is
+    one exactly when x - r1 + r2 lies in the sublattice for some pair,
+    with no reach truncation involved. Membership of v is adj(B) v = 0
+    mod det(B): phi(v) = adj(B) v mod |det| is a homomorphism onto
+    (Z/|det|)^d whose kernel is the sublattice, so x is a difference
+    exactly when phi(x) is one of the phi(r1) - phi(r2). Every point and
+    residue is mapped once, each value of phi is read as one integer
+    below |det|^d, and all points are looked up among the residue pairs'
+    values at once: O(|residues|^2 + |domain|) work and memory. It is
+    exact: coordinates and adj(B) are reduced modulo |det| first, and the
+    arithmetic runs in int64 when its values fit, on Python ints
+    otherwise.
     """
     if domain.d != lam.d:
         raise ValueError("dimension mismatch")
-    zero = (0,) * domain.d
-    for x in domain.sorted_elements():
-        if x == zero:
-            continue
-        for r1 in lam.residues:
-            for r2 in lam.residues:
-                # x = (r1 + B z1) - (r2 + B z2)  <=>  x - r1 + r2 in B Z^d
-                if lam._in_lattice(tuple(a - b + c for a, b, c in zip(x, r1, r2))):
-                    return False, x
+    d = domain.d
+    zero = (0,) * d
+    points = [x for x in domain.sorted_elements() if x != zero]
+    det, adj = lam._adjugate
+    m = abs(det)
+    dtype = np.int64 if max(m ** d, d * m * m) <= 1 << 62 else object
+    A = (np.array(adj, dtype=object) % m).astype(dtype)
+    # a value of phi as one integer: its coordinates in base |det|
+    radix = np.array([m ** j for j in range(d)], dtype=object).astype(dtype)
+
+    def phi(rows):
+        rows = np.array(rows, dtype=object).reshape(len(rows), d) % m
+        return rows.astype(dtype) @ A.T % m
+
+    pr = phi(lam.residues)
+    # phi(r1) - phi(r2) for every ordered pair, r1 = r2 included
+    shifts = sorted_distinct((pr[:, None, :] - pr[None, :, :]) % m @ radix)
+    keys = phi(points) @ radix
+    hit = shifts.take(np.searchsorted(shifts, keys), mode="clip") == keys
+    bad = np.flatnonzero(hit)
+    if bad.size:
+        return False, points[bad[0]]
     return True, None
 
 

@@ -53,7 +53,7 @@ from .bounds import BoundReport
 from .config import (DEFAULT_BUDGET, EXACT_SEARCH_VERTEX_CAP, SearchBudget)
 from .errors import CertificateInvalidError
 from .groups import (Element, FiniteAbelianGroup, SymmetricDomain,
-                     difference_set, translate)
+                     difference_set, sorted_distinct, translate)
 from .harmonic import convolve, indicator
 
 PROVEN_MAX = "proven-max"
@@ -83,41 +83,56 @@ def check_packing_set(group: FiniteAbelianGroup, domain: SymmetricDomain,
     |lam| <= |G|, so the block is no larger than the shift table that
     ``max_packing_set`` builds for the group.
     """
-    elems = [group.canon(x) for x in lam]
-    idx = np.array([group.index(x) for x in elems], dtype=np.int64)
+    idx = group.indices(lam)
+    clash = _first_clash(group, domain, idx)
+    if clash is None:
+        return True, None
+    return False, tuple(group.elements_at(idx[list(clash)]))
+
+
+def _first_clash(group: FiniteAbelianGroup, domain: SymmetricDomain,
+                 idx: np.ndarray) -> tuple[int, int] | None:
+    """The positions in ``idx`` of ``check_packing_set``'s first violating
+    pair, or None."""
+    if domain.group != group:
+        raise ValueError("domain belongs to a different group")
     n_lam = len(idx)
-    # first position of each group element in lam, n_lam when absent
+    # first position of each group element in lam, n_lam when absent: the
+    # head of each run of equal values in a stable sort
     first = np.full(group.order, n_lam, dtype=np.int64)
-    values, where = np.unique(idx, return_index=True)
-    first[values] = where
-    omega = np.array([group.index(x) for x in
-                      domain.elements - {group.identity()}], dtype=np.int64)
+    order = np.argsort(idx, kind="stable")
+    values = idx[order]
+    head = np.concatenate(([True], values[1:] != values[:-1]))[:n_lam]
+    first[values[head]] = order[head]
+    omega = domain.indices[domain.indices != 0]
     earlier = first[translate(group.moduli, idx[None, :], omega[:, None])]
     earlier[earlier >= np.arange(n_lam)] = n_lam
     clash = earlier.min(axis=0, initial=n_lam)
     bad = np.flatnonzero(clash < n_lam)
     if bad.size == 0:
-        return True, None
-    return False, (elems[bad[0]], elems[clash[bad[0]]])
+        return None
+    return int(bad[0]), int(clash[bad[0]])
 
 
 def packing_bound(group: FiniteAbelianGroup, domain: SymmetricDomain,
                   lam) -> BoundReport:
     """Upper bound |G|/|Lambda| from a verified packing set."""
     raw = lam.elements if isinstance(lam, PackingSet) else lam
-    elems = [group.canon(x) for x in raw]
-    if not elems:
+    idx = group.indices(raw)
+    if not idx.size:
         raise CertificateInvalidError("packing set is empty")
-    if len(set(elems)) != len(elems):
+    ordered = sorted_distinct(idx)
+    if len(ordered) != len(idx):
         raise CertificateInvalidError("packing set has repeated elements")
-    ok, pair = check_packing_set(group, domain, elems)
-    if not ok:
+    clash = _first_clash(group, domain, idx)
+    if clash is not None:
+        pair = group.elements_at(idx[list(clash)])
         raise CertificateInvalidError(
             f"packing set rejected: difference of {pair[0]} and {pair[1]} "
             "lies in the domain")
-    value = Fraction(group.order, len(elems))
+    value = Fraction(group.order, len(idx))
     return BoundReport(value, "packing", "upper",
-                       {"Lambda": sorted(elems, key=group.index)})
+                       {"Lambda": group.elements_at(ordered)})
 
 
 def vertex_mask(indices, n: int) -> int:
@@ -283,8 +298,7 @@ def max_packing_set(group: FiniteAbelianGroup, domain: SymmetricDomain,
     # shift[k, v] = index(v + omega_k), Omega in enumeration order: column
     # v is the closed neighbourhood of v in the Cayley graph
     vertices = np.arange(n, dtype=np.int64)
-    omega = np.array([group.index(x) for x in domain.sorted_elements()],
-                     dtype=np.int64)
+    omega = domain.indices
     shift = translate(group.moduli, vertices[None, :], omega[:, None])
     deadline = (time.monotonic() + budget.time_limit
                 if budget.time_limit is not None else None)
@@ -292,19 +306,19 @@ def max_packing_set(group: FiniteAbelianGroup, domain: SymmetricDomain,
 
     if n > EXACT_SEARCH_VERTEX_CAP:
         improved = _swap_improve(shift, greedy, deadline)
-        elems = tuple(group.element(v) for v in improved)
+        elems = tuple(group.elements_at(improved))
         return PackingSet(group, elems, True, GREEDY_ONLY, nodes=0)
 
     if _greedy_is_maximal(shift, omega, len(greedy), budget.node_limit,
                           deadline):
-        elems = tuple(group.element(v) for v in greedy)
+        elems = tuple(group.elements_at(greedy))
         return PackingSet(group, elems, True, PROVEN_MAX, nodes=0)
 
     full = (1 << n) - 1
     found, nodes, cut = branch_and_bound(
         lambda v: full ^ vertex_mask(shift[:, v], n), len(greedy), n,
         budget.node_limit, deadline)
-    elems = tuple(group.element(v) for v in found or greedy)
+    elems = tuple(group.elements_at(found or greedy))
     flag = GREEDY_ONLY if cut else PROVEN_MAX
     return PackingSet(group, elems, True, flag, nodes=nodes)
 

@@ -49,8 +49,10 @@ them; every 128 pivots, a ``Binv`` or ``xB`` with a non-finite entry
 is re-inverted too. Re-inversion is the one recovery: a singular basis,
 or one whose ``B^-1 rhs`` has an entry below ``-entering_tol``, is not
 clipped or patched, and the solve restarts from the start basis on the
-true ``w``, keeping its working set. The final basis ids are returned,
-so a caller can recompute that basis in exact arithmetic.
+true ``w``, keeping its working set. A restart whose working set has not
+grown since the last restart would retrace the path that led to it, so
+it lifts the start basis at once. The final basis ids are returned, so a
+caller can recompute that basis in exact arithmetic.
 
 Termination statuses:
     optimal          pricing found nothing below tolerance. After a
@@ -156,6 +158,8 @@ def solve_column_lp(
     stall = 0
     last_obj = None
     checked = True  # Binv checked for drift since the last pivot
+    restart_columns = None  # working-set size at the last restart
+    repeat = False  # a restart found the working set of the one before
 
     def objective():
         # the running sum adds the basic values left to right, like a loop
@@ -176,6 +180,7 @@ def solve_column_lp(
         """Solve the basis B on rhs afresh, or restart from the start
         basis on w when B is singular or that solution is infeasible."""
         nonlocal slot, Binv, xB, rhs, stall, last_obj, basis_restarts
+        nonlocal restart_columns, repeat
         try:
             Binv = np.linalg.inv(B)
             xB = Binv @ rhs
@@ -186,10 +191,30 @@ def solve_column_lp(
             slot, Binv, xB = (a.copy() for a in start)
             rhs, stall, last_obj = w, 0, None
             basis_restarts += 1
+            repeat = restart_columns == len(ids)
+            restart_columns = len(ids)
         else:
             xB[xB < 1e-13] = 0.0
 
+    def lift():
+        """Move the basic values off their degenerate zeros; the basis
+        stays exact on the moved right-hand side."""
+        nonlocal rng, xB, rhs, lifts, stall
+        if rng is None:
+            rng = np.random.default_rng(0)
+        delta = LIFT_SCALE * (1.0 + rng.random(p)) * max(
+            1.0, np.abs(w).max())
+        xB += delta
+        rhs = rhs + M[:, slot] @ delta
+        lifts += 1
+        stall = 0
+
     while True:
+        if repeat:
+            # a restart with no new column since the last one would take
+            # the same path back to it: lift the start basis at once
+            repeat = False
+            lift()
         pi = ones @ Binv
         rc = 1.0 - pi @ M
         # a basic column's reduced cost is 0 up to drift, and it never
@@ -266,17 +291,8 @@ def solve_column_lp(
         if last_obj is not None and obj >= last_obj - 1e-12:
             stall += 1
             if stall >= STALL_LIMIT:
-                # lift the basic values off their degenerate zeros; the
-                # basis stays exact on the moved right-hand side
-                if rng is None:
-                    rng = np.random.default_rng(0)
-                delta = LIFT_SCALE * (1.0 + rng.random(p)) * max(
-                    1.0, np.abs(w).max())
-                xB += delta
-                rhs = rhs + M[:, slot] @ delta
+                lift()
                 obj = float(xB.cumsum()[-1])
-                lifts += 1
-                stall = 0
         else:
             stall = 0
         last_obj = obj

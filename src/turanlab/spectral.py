@@ -32,8 +32,9 @@ from .config import (DEFAULT_BUDGET, DEFAULT_TOLERANCES, SearchBudget,
                      Tolerances)
 from .errors import CertificateInvalidError, NumericalInconsistencyError
 from .groups import (Element, FiniteAbelianGroup, SymmetricDomain,
-                     difference_set, flat, subgroup_generated, translate)
-from .harmonic import _axis_transform, indicator
+                     difference_indices, digits, flat, member_mask,
+                     sorted_distinct, subgroup_generated, translate)
+from .harmonic import _axis_transform
 from .packing import (branch_and_bound, max_packing_set, packing_bound,
                       tiling_bound, vertex_mask)
 from .turan_lp import quotient_bound, subgroup_bound, turan_constant
@@ -63,15 +64,20 @@ class SpectrumReport(NamedTuple):
     diagnostics: dict
 
 
-def _canon_set(group: FiniteAbelianGroup, xs) -> list[Element]:
-    out = [group.canon(x) for x in xs]
-    if len(set(out)) != len(out):
+def _canon_set(group: FiniteAbelianGroup, xs) -> np.ndarray:
+    """The ascending flat indices of a set given by its elements."""
+    raw = group.indices(xs)
+    idx = sorted_distinct(raw)
+    if len(idx) != len(raw):
         raise ValueError("set has repeated elements")
-    return sorted(out, key=group.index)
+    return idx
 
 
-def _indicator_transform(group: FiniteAbelianGroup, H) -> np.ndarray:
-    return _axis_transform(indicator(group, H).values, group.moduli, False)
+def _indicator_transform(group: FiniteAbelianGroup,
+                         idx: np.ndarray) -> np.ndarray:
+    values = np.zeros(group.order)
+    values[idx] = 1.0
+    return _axis_transform(values, group.moduli, False)
 
 
 def _exponent_two(group: FiniteAbelianGroup) -> bool:
@@ -79,7 +85,7 @@ def _exponent_two(group: FiniteAbelianGroup) -> bool:
 
 
 def _transform_zeros(group: FiniteAbelianGroup,
-                     Hc: list[Element]) -> tuple[np.ndarray, np.ndarray]:
+                     Hc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Magnitudes of the indicator transform of Hc and its zero mask."""
     ft = _indicator_transform(group, Hc)
     mags = np.abs(ft)
@@ -107,7 +113,7 @@ def transform_zero_set(group: FiniteAbelianGroup,
     edges = [ZERO_TOL * len(Hc) * f for f in (1.0, 10.0, 100.0, 1000.0)]
     hist = {f"<= {f:g}x": int((mags <= e).sum())
             for f, e in zip((1, 10, 100, 1000), edges)}
-    zeros = [group.element(int(i)) for i in np.flatnonzero(zero_mask)]
+    zeros = group.elements_at(np.flatnonzero(zero_mask))
     return zeros, {"histogram": hist, "min_nonzero_mag":
                    float(mags[~zero_mask].min()) if (~zero_mask).any() else None}
 
@@ -116,21 +122,27 @@ def is_spectrum(group: FiniteAbelianGroup, H, T) -> SpectrumReport:
     """Run both spectrum characterizations and require their agreement."""
     Hc = _canon_set(group, H)
     Tc = _canon_set(group, T)
-    if not Hc or not Tc:
+    if not len(Hc) or not len(Tc):
         raise ValueError("both sets must be nonempty")
     ft = _indicator_transform(group, Hc)
     mags = np.abs(ft)
     h = len(Hc)
-    coords = np.array(Tc, dtype=np.int64).reshape(len(Tc), group.rank)
+    coords = digits(group.moduli, Tc)
 
-    # (a) Gram: right size and every nonzero difference of T kills the transform
+    # (a) Gram: right size and every nonzero difference of T kills the
+    # transform. A block of rows of T against all earlier elements at
+    # once, at most _POWER_BATCH pairs, so memory stays O(|T| + batch)
+    # where one step over all pairs would need |T|^2
     gram_ok = len(Tc) == h
     worst_pair = 0.0
     if gram_ok:
-        # one array step per element, against all earlier ones: memory
-        # stays O(|T|) where one step over all pairs would need |T|^2
-        for i in range(1, h):
-            diffs = flat(group.moduli, coords[i] - coords[:i])
+        step = max(1, _POWER_BATCH // h)
+        for a in range(1, h, step):
+            # the pairs (i, j), j < i, of rows a <= i < a + step
+            rows = np.arange(a, min(a + step, h))
+            i = np.repeat(rows, rows)
+            j = np.arange(len(i)) - np.repeat(rows.cumsum() - rows, rows)
+            diffs = flat(group.moduli, coords[i] - coords[j])
             worst_pair = max(worst_pair, float(mags[diffs].max()))
         gram_ok = worst_pair <= ZERO_TOL * h
 
@@ -177,9 +189,10 @@ def find_spectrum(group: FiniteAbelianGroup, H,
     if not h:
         raise ValueError("base set must be nonempty")
     zeros = np.flatnonzero(_transform_zeros(group, Hc)[1])
+    H_elems = tuple(group.elements_at(Hc))
 
     if h == 1:
-        cand = SpectrumCandidate(group, tuple(Hc), (group.identity(),), True)
+        cand = SpectrumCandidate(group, H_elems, (group.identity(),), True)
         return SpectrumSearch(cand, True, 0)
 
     deadline = (time.monotonic() + budget.time_limit
@@ -191,12 +204,12 @@ def find_spectrum(group: FiniteAbelianGroup, H,
         h - 1, h, budget.node_limit, deadline)
     if found is None:
         return SpectrumSearch(None, not cut, nodes)
-    T = tuple(group.element(v) for v in found)
-    report = is_spectrum(group, Hc, T)
+    T = tuple(group.elements_at(found))
+    report = is_spectrum(group, H_elems, T)
     if not report.flag:
         raise NumericalInconsistencyError(
             f"search produced a non-spectrum: {report.diagnostics}")
-    return SpectrumSearch(SpectrumCandidate(group, tuple(Hc), T, True),
+    return SpectrumSearch(SpectrumCandidate(group, H_elems, T, True),
                           True, nodes)
 
 
@@ -205,18 +218,19 @@ def spectral_bound(group: FiniteAbelianGroup, domain: SymmetricDomain,
     """Upper bound |H| from a verified spectrum, for domains inside H-H."""
     Hc = _canon_set(group, H)
     Tc = _canon_set(group, T)
-    diff = difference_set(group, Hc)
-    outside = [x for x in domain.elements if x not in diff]
-    if outside:
+    diff = difference_indices(group.moduli, Hc)
+    outside = domain.indices[~member_mask(diff, domain.indices)]
+    if outside.size:
         raise CertificateInvalidError(
-            f"domain point {sorted(outside, key=group.index)[0]} is not a "
+            f"domain point {group.element(int(outside[0]))} is not a "
             "difference of the base set")
-    report = is_spectrum(group, Hc, Tc)
+    H_elems, T_elems = group.elements_at(Hc), group.elements_at(Tc)
+    report = is_spectrum(group, H_elems, T_elems)
     if not report.flag:
         raise CertificateInvalidError(
             f"pair is not a spectrum: {report.diagnostics}")
     return BoundReport(float(len(Hc)), "spectral", "upper",
-                       {"H": Hc, "T": Tc})
+                       {"H": H_elems, "T": T_elems})
 
 
 def compare_bounds(group: FiniteAbelianGroup, domain: SymmetricDomain,

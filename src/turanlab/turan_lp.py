@@ -48,7 +48,7 @@ from .errors import (CertificateInvalidError, InvalidHomomorphismError,
                      WitnessRejectedError)
 from .groups import (Element, FiniteAbelianGroup, Subgroup, SymmetricDomain,
                      digits, direct_product, fixing_transpositions, flat,
-                     image_domain, negation_pairs, orbit_labels,
+                     image_domain, member_mask, negation_pairs, orbit_labels,
                      quotient_group, subgroup_as_group, symmetric_domain)
 from .harmonic import (GroupFunction, _axis_transform, _root_table,
                        is_positive_definite)
@@ -216,8 +216,7 @@ def build_lp_problem(group: FiniteAbelianGroup,
         raise ValueError("domain belongs to a different group")
     mods = group.moduli
     N = math.lcm(*mods)
-    omega = np.array(sorted(group.index(x) for x in domain.elements),
-                     dtype=np.int64)
+    omega = domain.indices
     swaps = fixing_transpositions(mods, omega)
     reps, sizes = negation_pairs(mods, omega)
     order, orbit_start = _orbits(orbit_labels(mods, swaps, reps))
@@ -532,10 +531,12 @@ def witness_ratio(f: GroupFunction, domain: SymmetricDomain) -> BoundReport:
         raise ValueError("witness and domain live on different groups")
     if abs(f(G.identity())) == 0:
         raise WitnessRejectedError("witness has f(0) = 0", offender=G.identity())
-    for x in f.support():
-        if x not in domain:
-            raise WitnessRejectedError(
-                f"witness support leaks outside the domain at {x}", offender=x)
+    support = np.flatnonzero(f.values)
+    outside = support[~member_mask(domain.indices, support)]
+    if outside.size:
+        x = G.element(int(outside[0]))
+        raise WitnessRejectedError(
+            f"witness support leaks outside the domain at {x}", offender=x)
     report = is_positive_definite(f)
     if not report.flag:
         fhat = _axis_transform(f.values, G.moduli, False).real

@@ -212,3 +212,71 @@ def test_membership_reduces_coordinates():
     K = subgroup_generated(G, [4])
     assert (9,) in dom and 9 in dom and np.int64(-1) in dom
     assert 12 in K and [4] in K and 2 not in K
+
+
+def _one_by_one(G, xs):
+    return [G.index(G.canon(x)) for x in xs]
+
+
+def _bulk_params():
+    for gname, data in FINITE.items():
+        for sname, sp in _spellings(len(data["moduli"]),
+                                    data["moduli"]).items():
+            yield pytest.param(data, sp, id=f"{gname}-{sname}")
+
+
+@pytest.mark.parametrize("data, sp", list(_bulk_params()))
+def test_bulk_indices_read_every_spelling_as_canon_does(data, sp):
+    G = make_group(data["moduli"])
+    xs = [sp(x) for x in G.elements()] + [sp(data["x"])] * 2
+    got = G.indices(xs)
+    assert got.dtype == np.int64
+    assert got.tolist() == _one_by_one(G, xs)
+    # any iterable, and a stacked array of rows
+    assert G.indices(iter(xs)).tolist() == got.tolist()
+    assert G.indices(np.array([G.canon(x) for x in xs])).tolist() \
+        == got.tolist()
+    assert G.elements_at(got) == [G.canon(x) for x in xs]
+
+
+def test_bulk_indices_reduce_python_ints_beyond_int64():
+    for moduli in ([8], [2, 4], [7, 1, 3]):
+        G = make_group(moduli)
+        big = [tuple(10 ** 30 + 7 * i + j for j in range(G.rank))
+               for i in range(5)]
+        neg = [tuple(-c for c in x) for x in big]
+        for xs in (big, neg, big[:2] + [(1,) * G.rank],
+                   [np.array(x, dtype=object) for x in big]):
+            assert G.indices(xs).tolist() == _one_by_one(G, xs)
+    G = make_group([8])
+    assert G.indices([10 ** 30, -10 ** 30, 2 ** 64 - 1]).tolist() == [
+        10 ** 30 % 8, -10 ** 30 % 8, (2 ** 64 - 1) % 8]
+    assert G.indices(np.array([2 ** 64 - 1], dtype=np.uint64)).tolist() \
+        == [7]
+
+
+def test_bulk_indices_refuse_a_wrong_rank_as_canon_does():
+    G = make_group([2, 4])
+    for bad in ([(1, 2, 3)], [(1, 2), (1, 2, 3)], [3, 1], [(1, 2), 3],
+                [np.array([1, 2, 3])]):
+        with pytest.raises(ValueError) as one:
+            _one_by_one(G, bad)
+        with pytest.raises(ValueError) as bulk:
+            G.indices(bad)
+        assert str(bulk.value) == str(one.value)
+    H = make_group([5])
+    with pytest.raises(ValueError, match=r"has rank 2, group has rank 1"):
+        H.indices([(1, 2)])
+
+
+def test_bulk_indices_of_nothing():
+    for moduli in ([8], [2, 4], []):
+        G = make_group(moduli)
+        for empty in ([], (), iter([]), set()):
+            got = G.indices(empty)
+            assert got.dtype == np.int64 and got.shape == (0,)
+        assert G.elements_at(np.empty(0, dtype=np.int64)) == []
+    # the rank-0 group has one element, the empty tuple
+    G = make_group([])
+    assert G.indices([(), ()]).tolist() == [0, 0]
+    assert G.elements_at([0]) == [()]

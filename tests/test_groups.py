@@ -86,6 +86,77 @@ def test_index_element_round_trip():
         assert G.element(G.index(x)) == x
 
 
+def _digits_by_axis(moduli, idx):
+    """digits as it was written before the stride vector: one divmod per
+    axis, least significant first."""
+    rest = np.asarray(idx, dtype=np.int64)
+    out = np.empty(rest.shape + (len(moduli),), dtype=np.int64)
+    for j in range(len(moduli) - 1, -1, -1):
+        rest, out[..., j] = np.divmod(rest, moduli[j])
+    return out
+
+
+def _flat_by_axis(moduli, coords):
+    idx = np.zeros(coords.shape[:-1], dtype=np.int64)
+    for j, m in enumerate(moduli):
+        idx = idx * m + coords[..., j] % m
+    return idx
+
+
+@pytest.mark.parametrize("moduli", [(), (7,), (3, 5), (2, 3, 1, 4, 2, 5, 3,
+                                                        2, 2, 3, 2, 2)])
+def test_digits_and_flat_match_the_per_axis_loop(moduli):
+    # ranks 0, 1, 2 and 12, negative indices and coordinates, and shapes
+    # that broadcast
+    G = make_group(moduli)
+    rng = np.random.default_rng(90111)
+    idx = rng.integers(-3 * G.order, 3 * G.order, size=(4, 1, 5))
+    got = groups.digits(moduli, idx)
+    assert got.shape == (4, 1, 5, len(moduli)) and got.dtype == np.int64
+    assert np.array_equal(got, _digits_by_axis(moduli, idx))
+    assert np.array_equal(groups.digits(moduli, 5), _digits_by_axis(moduli, 5))
+    coords = rng.integers(-20, 20, size=(3, 6, len(moduli)))
+    assert np.array_equal(groups.flat(moduli, coords),
+                          _flat_by_axis(moduli, coords))
+    # a difference of two broadcast coordinate blocks
+    sample = rng.integers(0, G.order, size=30)
+    x = groups.digits(moduli, sample)
+    diffs = x[:, None] - x[None, :]
+    assert np.array_equal(groups.flat(moduli, diffs),
+                          _flat_by_axis(moduli, diffs))
+    # flat inverts digits, and both agree with index and element
+    every = np.arange(G.order)
+    assert np.array_equal(groups.flat(moduli, groups.digits(moduli, every)),
+                          every)
+    assert [tuple(r) for r in groups.digits(moduli, sample).tolist()] == [
+        G.element(int(i)) for i in sample]
+
+
+def test_indices_of_groups_near_and_beyond_int64_stay_exact():
+    # order 2^63: the largest flat index, 2^63 - 1, still fits in int64
+    G = make_group([2] * 63)
+    top = [(1 << 63) - 1, (1 << 62) + 5, 3]
+    want = [G.element(i) for i in top]
+    assert [tuple(r) for r in groups.digits(G.moduli, top).tolist()] == want
+    assert groups.flat(G.moduli, np.array(want)).tolist() == top
+    assert G.indices(want).tolist() == [G.index(x) for x in want]
+    # order 2^70 and 3 * 2^62: int64 strides would wrap, so the array
+    # path refuses them, while the Python-int element path stays exact
+    for moduli in ([2] * 70, [3] + [2] * 62):
+        G = make_group(moduli)
+        x = tuple([1] + [0] * (G.rank - 2) + [1])
+        with pytest.raises(ValueError, match="beyond the int64 range"):
+            groups.digits(G.moduli, [1])
+        with pytest.raises(ValueError, match="beyond the int64 range"):
+            groups.flat(G.moduli, np.array([x]))
+        with pytest.raises(ValueError, match="beyond the int64 range"):
+            G.indices([x])
+        dom = symmetric_domain(G, [G.identity(), x, G.neg(x)])
+        assert dom.sorted_elements() == sorted(dom.elements, key=G.index)
+        with pytest.raises(ValueError, match="beyond the int64 range"):
+            tl.packing_bound(G, dom, [G.identity()])
+
+
 def test_translate_matches_element_arithmetic():
     rng = random.Random(90108)
     for _ in range(100):

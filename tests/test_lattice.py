@@ -192,6 +192,23 @@ def test_explicit_witness_omega_N():
         explicit_witness_omega_N(0)
 
 
+# grid_min of the 100 000-point grid, bit for bit: the values at points
+# past pi are their mirror images', and for these n the least value is
+# the same in every bit either way
+_GRID_MIN = {1: "0x1.e24e4c0000000p-32", 2: "-0x1.0000000000000p-55",
+             3: "0x1.09c24e0000000p-32", 4: "0x1.acb898c000000p-29"}
+
+
+@pytest.mark.parametrize("n", sorted(_GRID_MIN))
+def test_explicit_witness_grid_min_bits(n):
+    wit = explicit_witness_omega_N(n)
+    assert wit.grid_min.hex() == _GRID_MIN[n]
+    # the least value over the whole grid, every point evaluated
+    xs = np.linspace(0.0, 2.0 * math.pi, 100_000, endpoint=False)
+    full = 1.0 + 2 * wit.f1 * np.cos(xs) + 2 * wit.f2n * np.cos(2 * n * xs)
+    assert float(full.min()).hex() == _GRID_MIN[n]
+
+
 def test_periodic_set_membership():
     lam = periodic_set(2, [[1, 1], [2, -1]], [(0, 0)])
     assert lam.det == -3
@@ -250,6 +267,85 @@ def test_density_bound_rejects_bad_packing():
     assert not ok and violation in {(1,), (-1,)}
     with pytest.raises(CertificateInvalidError):
         density_bound_zd(dom, lam)
+
+
+def _reference_periodic_check(domain, lam):
+    """The per-point scan that ``check_packing_periodic`` replaced: each
+    nonzero domain point in order against every residue pair, by the
+    exact membership rule."""
+    zero = (0,) * domain.d
+    for x in domain.sorted_elements():
+        if x == zero:
+            continue
+        for r1 in lam.residues:
+            for r2 in lam.residues:
+                if lam._in_lattice(tuple(a - b + c
+                                         for a, b, c in zip(x, r1, r2))):
+                    return False, x
+    return True, None
+
+
+def _random_periodic_case(rng, d, big):
+    """A periodic set with a random basis and residues, and a random
+    symmetric domain; with ``big``, coordinates and basis entries go far
+    past int64."""
+    scale = 10 ** 25 if big else 1
+    while True:
+        basis = [[rng.randint(-5, 5) * scale + rng.randint(-2, 2)
+                  for _ in range(d)] for _ in range(d)]
+        try:
+            lam = periodic_set(d, basis, [tuple(rng.randint(-9, 9) * scale
+                                                + rng.randint(-3, 3)
+                                                for _ in range(d))])
+        except ValueError:  # singular
+            continue
+        break
+    residues = list(lam.residues)
+    for _ in range(rng.randint(0, 4)):
+        r = tuple(rng.randint(-9, 9) * scale + rng.randint(-3, 3)
+                  for _ in range(d))
+        try:
+            lam = periodic_set(d, lam.basis, residues + [r])
+            residues.append(r)
+        except ValueError:  # repeats or coincides modulo the lattice
+            pass
+    pts = [tuple(rng.randint(-6, 6) * rng.choice([1, scale])
+                 + rng.randint(-2, 2) for _ in range(d))
+           for _ in range(rng.randint(0, 6))]
+    dom = lattice_domain(d, [(0,) * d] + pts + [tuple(-c for c in x)
+                                               for x in pts])
+    return dom, lam
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("big", [False, True], ids=["small", "beyond-int64"])
+def test_check_packing_periodic_matches_the_per_point_scan(d, big):
+    rng = random.Random(90711 + 2 * d + big)
+    verdicts = set()
+    for case in range(150):
+        dom, lam = _random_periodic_case(rng, d, big)
+        got = check_packing_periodic(dom, lam)
+        assert got == _reference_periodic_check(dom, lam), f"case {case}"
+        verdicts.add(got[0])
+    assert verdicts == {True, False}
+    # a domain of 0 alone has no nonzero point to clash
+    assert check_packing_periodic(lattice_domain(d, [(0,) * d]), lam) == (
+        True, None)
+
+
+def test_check_packing_periodic_with_a_huge_determinant():
+    # det(B) = 10^50: the values of phi are Python ints, not int64
+    lam = periodic_set(2, [[10 ** 25, 0], [0, 10 ** 25]],
+                       [(0, 0), (1, 10 ** 30 + 1)])
+    dom = lattice_domain(2, [(0, 0), (1, 1), (-1, -1), (10 ** 25, 0),
+                             (-10 ** 25, 0)])
+    # (+-10^25, 0) lie in the lattice, and (1, 1) is (1, 10^30 + 1) - 0
+    # modulo it
+    assert check_packing_periodic(dom, lam) == (False, (-10 ** 25, 0))
+    near = lattice_domain(2, [(0, 0), (1, 1), (-1, -1)])
+    assert check_packing_periodic(near, lam) == (False, (-1, -1))
+    far = lattice_domain(2, [(0, 0), (2, 3), (-2, -3)])
+    assert check_packing_periodic(far, lam) == (True, None)
 
 
 def test_omega_N_packing_density():

@@ -395,13 +395,44 @@ def test_an_infeasible_reinversion_restarts_and_keeps_the_working_set(
 
 
 @pytest.mark.parametrize("how", ["negated", "singular"])
+def test_a_restart_that_repeats_the_last_one_lifts_at_once(monkeypatch, how):
+    """The inverse drifts, and the first two re-inversions fail. Every
+    column is given at the start, so the second restart finds the working
+    set of the first: its path would lead back to the same failure, and
+    it lifts the start basis at once. The first restart does not lift.
+    Each solve still ends at the oracle's value on the true w."""
+    import turanlab.simplex as simplex
+
+    calls = _failing_numpy(monkeypatch, how, lambda n: n <= 2)
+    rng = random.Random(90308)
+    repeated = 0
+    for case in range(40):
+        p = rng.randint(2, 3)
+        w, cols = _random_instance(rng, p, rng.randint(3, 6), exact=False)
+        del calls[:]
+        res = simplex.solve_column_lp(np.array(w), cols[2 * p:],
+                                      lambda pi: [])
+        assert res.status == "optimal", f"case {case}"
+        restarts = res.diagnostics["basis_restarts"]
+        assert restarts == min(len(calls), 2), f"case {case}"
+        assert res.diagnostics["lifts"] == max(restarts - 1, 0), f"case {case}"
+        want = _dual_vertex_oracle(w, cols)
+        assert abs(res.objective - float(want)) <= 1e-9, f"case {case}"
+        _check_primal(res, w, cols, 1e-9)
+        repeated += restarts == 2
+    assert repeated >= 10, f"only {repeated} of 40 solves restarted twice"
+
+
+@pytest.mark.parametrize("how", ["negated", "singular"])
 def test_the_pivot_cap_falls_back_to_the_start_basis(monkeypatch, how):
     """The inverse drifts, and every re-inversion fails, so each one
     restarts from the start basis. With a cap of 2 pivots, a solve that
     pivots at all is cut on a drifted iterate or at a restart, and must
     end budget-exceeded at the start basis: weights that solve B x = w,
     x >= 0, and objective sum |w|. With a cap of 200, restarts repeat
-    their path until the cap, which ends them as a status."""
+    until the cap, which ends them as a status. The working set never
+    grows, so every restart but the first and the one at the cap lifts
+    the start basis at once."""
     import turanlab.simplex as simplex
 
     calls = _failing_numpy(monkeypatch, how, lambda n: True)
@@ -420,7 +451,10 @@ def test_the_pivot_cap_falls_back_to_the_start_basis(monkeypatch, how):
                 assert res.status == "optimal" and not calls
                 continue
             assert res.status == "budget-exceeded", f"case {case}"
-            assert res.pivots == cap and res.diagnostics["basis_restarts"]
+            restarts = res.diagnostics["basis_restarts"]
+            assert res.pivots == cap and restarts
+            if cap == 200:
+                assert res.diagnostics["lifts"] == restarts - 2, f"case {case}"
             by_id = dict(cols)
             for q in range(p):
                 combo = sum(lam * by_id[cid][q]

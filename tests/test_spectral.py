@@ -45,7 +45,7 @@ def _roll_diagnostics(G, H, T):
     of the power spectrum per element of T, added in T's order."""
     Hc = sorted({G.canon(x) for x in H}, key=G.index)
     Tc = sorted({G.canon(x) for x in T}, key=G.index)
-    mags = np.abs(spectral._indicator_transform(G, Hc))
+    mags = np.abs(spectral._indicator_transform(G, [G.index(x) for x in Hc]))
     h = len(Hc)
     worst = 0.0
     gram_ok = len(Tc) == h
