@@ -22,12 +22,15 @@ in int64, is refused there with a ValueError rather than wrapped.
 ``orbit_labels`` find the coordinate swaps that fix a set and label the
 orbits they generate together with -1, for the LP's symmetry reduction.
 
-``translate`` (flat indices of v + s) pays per block of axes, not per
-axis: consecutive axes whose moduli multiply to at most ``BLOCK_LIMIT``
-share one small table of block sums, keyed by the two inputs' block
-digits, and each block's part of the result is one gather from it,
-taken in fixed-size chunks of the output. The tables depend only on a
-block's moduli, so groups that share a block share its table.
+``translate`` (flat indices of v + s, for v and s in [0, |G|)) is one
+XOR when every modulus is 1 or 2: there the bits of a flat index are its
+coordinates, and adding them modulo 2 is XOR. On any other group it pays
+per block of axes, not per axis: consecutive axes whose moduli multiply
+to at most ``BLOCK_LIMIT`` share one small table of block sums, keyed by
+the two inputs' block digits, and each block's part of the result is one
+gather from it, taken in fixed-size chunks of the output. The tables
+depend only on a block's moduli, so groups that share a block share its
+table.
 
 Quotients and subgroup renormalization go through an exact integer Smith
 normal form so the result is again a product of cyclic groups together
@@ -349,10 +352,13 @@ def _chunks(shape: tuple[int, ...], size: int):
 
 
 def translate(moduli: tuple[int, ...], v, s) -> np.ndarray:
-    """Flat indices of v + s for broadcastable arrays of flat indices.
+    """Flat indices of v + s for broadcastable arrays of flat indices in
+    [0, |G|), as an int64 array of the broadcast shape (0-d for scalars).
 
-    The axes fall into blocks (see ``BLOCK_LIMIT``), and the result is
-    the sum over blocks of the block's stride times the index, within
+    When every modulus is 1 or 2, the bits of a flat index are the
+    coordinates of its order-2 axes, so v + s is v XOR s. On any other
+    group the axes fall into blocks (see ``BLOCK_LIMIT``), and the result
+    is the sum over blocks of the block's stride times the index, within
     the block, of the sum of the two inputs' block digits. For a block
     of several axes that index is one gather from ``_sum_table``, taken
     in chunks of ``_CHUNK`` output entries, so the only whole-result
@@ -364,6 +370,8 @@ def translate(moduli: tuple[int, ...], v, s) -> np.ndarray:
     v = np.asarray(v, dtype=np.int64)
     s = np.asarray(s, dtype=np.int64)
     shape = np.broadcast_shapes(v.shape, s.shape)
+    if max(moduli, default=1) <= 2:
+        return np.bitwise_xor(v, s, out=np.empty(shape, dtype=np.int64))
     gathers, carries = [], []
     # v and s without the digits of the blocks that are gathered
     v_rest, s_rest = v, s
@@ -402,8 +410,9 @@ def translate(moduli: tuple[int, ...], v, s) -> np.ndarray:
             if stride == 1:
                 np.add(part, r, out=part)
             else:
-                # an int64 loop: under value-based casting (numpy 1.x) a
-                # stride below 256 would otherwise multiply in uint8 and wrap
+                # numpy>=2 (NEP 50) already multiplies uint8 by an
+                # np.int64 stride in int64; dtype= pins that loop, which
+                # a Python int stride would not get (it would stay uint8)
                 np.multiply(r, stride, out=k, dtype=np.int64)
                 np.add(part, k, out=part)
     return out

@@ -37,7 +37,7 @@ from .groups import (Element, FiniteAbelianGroup, SymmetricDomain,
 from .harmonic import _axis_transform
 from .packing import (branch_and_bound, max_packing_set, packing_bound,
                       tiling_bound, vertex_mask)
-from .turan_lp import quotient_bound, subgroup_bound, turan_constant
+from .turan_lp import _subgroup_and_quotient_bounds, turan_constant
 
 ZERO_TOL = 1e-9
 # entries of the |T| x |G| shift table that ``is_spectrum`` gathers at once
@@ -280,8 +280,8 @@ def compare_bounds(group: FiniteAbelianGroup, domain: SymmetricDomain,
     for gens in hints.get("K", []):
         K = subgroup_generated(group, gens)
         try:
-            reports.append(subgroup_bound(group, domain, K))
-            reports.append(quotient_bound(group, domain, K))
+            for report in _subgroup_and_quotient_bounds(group, domain, K):
+                reports.append(report)
         except CertificateInvalidError:
             pass
 

@@ -551,36 +551,60 @@ def witness_ratio(f: GroupFunction, domain: SymmetricDomain) -> BoundReport:
 def subgroup_bound(group: FiniteAbelianGroup, domain: SymmetricDomain,
                    K: Subgroup) -> BoundReport:
     """Upper bound (|G|/|K|) * constant of (K, domain intersect K)."""
-    if K.group != group or domain.group != group:
-        raise ValueError("subgroup and domain must belong to the group")
-    Ks, to_sub, _from_sub = subgroup_as_group(K)
-    inner_elems = [to_sub[x] for x in domain.elements if x in K]
-    sol = turan_constant(Ks, symmetric_domain(Ks, inner_elems))
-    value = float(Fraction(group.order, K.order)) * sol.value
-    return BoundReport(value, "subgroup", "upper",
-                       {"K": sorted(K.elements), "inner": sol})
+    return next(_subgroup_and_quotient_bounds(group, domain, K))
 
 
 def quotient_bound(group: FiniteAbelianGroup, domain: SymmetricDomain,
                    K: Subgroup) -> BoundReport:
     """Upper bound constant(G/K, projected domain) * constant(K, domain in K)."""
+    points = _points_in(group, domain, K)
+    inner = _inner_constant(K, points) if len(points) > 1 else None
+    return _quotient_report(group, domain, K, inner)
+
+
+def _subgroup_and_quotient_bounds(group: FiniteAbelianGroup,
+                                  domain: SymmetricDomain, K: Subgroup):
+    """The subgroup bound, then the quotient bound, from one solve of the
+    constant of domain intersect K. A generator: the caller holds the
+    subgroup bound before the quotient is solved, and ``subgroup_bound``
+    takes it alone."""
+    points = _points_in(group, domain, K)
+    inner = _inner_constant(K, points)
+    value = float(Fraction(group.order, K.order)) * inner.value
+    yield BoundReport(value, "subgroup", "upper",
+                      {"K": sorted(K.elements), "inner": inner})
+    yield _quotient_report(group, domain, K,
+                           inner if len(points) > 1 else None)
+
+
+def _points_in(group: FiniteAbelianGroup, domain: SymmetricDomain,
+               K: Subgroup) -> list[Element]:
+    """The domain's points in K, once K and the domain are seen to belong
+    to the group."""
     if K.group != group or domain.group != group:
         raise ValueError("subgroup and domain must belong to the group")
+    return [x for x in domain.elements if x in K]
+
+
+def _inner_constant(K: Subgroup, points: list[Element]) -> LPSolution:
+    """The constant of the domain's ``points`` in K, solved in K as a
+    group of its own."""
+    Ks, to_sub, _from_sub = subgroup_as_group(K)
+    inner = symmetric_domain(Ks, [to_sub[x] for x in points])
+    return turan_constant(Ks, inner)
+
+
+def _quotient_report(group: FiniteAbelianGroup, domain: SymmetricDomain,
+                     K: Subgroup, inner: LPSolution | None) -> BoundReport:
+    """The quotient bound; ``inner`` is None when domain intersect K is {0},
+    whose constant is 1."""
     Q, project = quotient_group(group, K)
     theta = symmetric_domain(Q, {project(x) for x in domain.elements})
     outer = turan_constant(Q, theta)
-    inner_elems = [x for x in domain.elements if x in K]
-    cert = {"K": sorted(K.elements), "outer": outer}
-    if len(inner_elems) == 1:
-        value = outer.value
-        cert["inner"] = None
-    else:
-        Ks, to_sub, _ = subgroup_as_group(K)
-        inner = turan_constant(
-            Ks, symmetric_domain(Ks, [to_sub[x] for x in inner_elems]))
-        value = outer.value * inner.value
-        cert["inner"] = inner
-    return BoundReport(value, "quotient", "upper", cert)
+    value = outer.value if inner is None else outer.value * inner.value
+    return BoundReport(value, "quotient", "upper",
+                       {"K": sorted(K.elements), "outer": outer,
+                        "inner": inner})
 
 
 def automorphism_image_constant(group: FiniteAbelianGroup,

@@ -192,17 +192,22 @@ def test_translate_across_block_boundaries(moduli):
     got = translate(moduli, v[None, :], s[:, None])
     assert got.dtype == np.int64
     assert got.tolist() == _translate_by_elements(G, v, s)
-    # scalars give a 0-d result
-    assert translate(moduli, int(v[0]), int(s[0])).shape == ()
-    assert int(translate(moduli, int(v[0]), int(s[0]))) == got[0, 0]
+    # scalars give a 0-d array, not a numpy scalar
+    one = translate(moduli, int(v[0]), int(s[0]))
+    assert type(one) is np.ndarray and one.shape == ()
+    assert int(one) == got[0, 0]
     assert int(translate(moduli, np.int64(v[1]), s[1])) == got[1, 1]
 
 
-@pytest.mark.parametrize("moduli", [(2,) * 12, (3,) * 9, (4, 4, 4, 4, 4, 4, 4)])
+@pytest.mark.parametrize("moduli", [(2,) * 6 + (3,) * 4, (3,) * 9,
+                                    (4, 4, 4, 4, 4, 4, 4)])
 def test_translate_broadcasts_in_chunks(moduli):
     # an (|Omega|, |G|) shift table and a 3-d broadcast whose rows are
-    # longer than one gather chunk match element arithmetic everywhere
+    # longer than one gather chunk match element arithmetic everywhere;
+    # (2,)*6 + (3,)*4 has the blocks (2,)*5 and (2, 3, 3, 3, 3), so its
+    # order-2 axes are gathered, where (2,)*k alone would take the XOR
     G = make_group(moduli)
+    assert len(groups._blocks(moduli)) > 1
     rng = random.Random(90110)
     omega = np.array(rng.sample(range(G.order), 5))
     vertices = np.arange(G.order)
@@ -214,6 +219,41 @@ def test_translate_broadcasts_in_chunks(moduli):
     assert np.array_equal(wide[:, 0], table)
     assert np.array_equal(translate(moduli, omega[None, :], vertices[:, None]),
                           table.T)
+
+
+@pytest.mark.parametrize("moduli", [(1, 2, 1, 2, 2), (2,), (1,), ()])
+def test_translate_by_xor_matches_element_arithmetic(moduli):
+    # moduli of 1 and 2 only: every pair of elements, each spelling of a
+    # scalar, and a 3-d broadcast
+    G = make_group(moduli)
+    every = np.arange(G.order)
+    got = translate(moduli, every[None, :], every[:, None])
+    assert got.dtype == np.int64 and got.shape == (G.order, G.order)
+    assert got.tolist() == _translate_by_elements(G, every, every)
+    a, b = G.order - 1, G.order // 2
+    for x, y in [(a, b), (np.int64(a), np.int32(b)),
+                 (np.array(a), np.array(b)), (a, np.array(b))]:
+        one = translate(moduli, x, y)
+        # a 0-d array, not a numpy scalar, as the gather path returns
+        assert type(one) is np.ndarray and one.shape == ()
+        assert one.dtype == np.int64 and int(one) == got[b, a]
+    cube = translate(moduli, every[:, None, None], every[None, :, None])
+    assert cube.shape == (G.order, G.order, 1)
+    assert np.array_equal(cube[..., 0], got.T)
+
+
+def test_translate_by_xor_on_a_large_exponent_two_group():
+    # indices up to 2**40 on (2,)*40 against element arithmetic
+    moduli = (2,) * 40
+    G = make_group(moduli)
+    rng = random.Random(90111)
+    v = np.array([rng.randrange(G.order) for _ in range(12)], dtype=np.int64)
+    s = np.array([rng.randrange(G.order) for _ in range(9)], dtype=np.int64)
+    got = translate(moduli, v[None, :], s[:, None])
+    assert got.dtype == np.int64 and got.shape == (9, 12)
+    want = [[G.index(G.add(G.element(int(b)), G.element(int(a))))
+             for b in v] for a in s]
+    assert got.tolist() == want
 
 
 def test_element_order_hand_and_lagrange():

@@ -301,6 +301,70 @@ def test_compare_bounds_squeeze():
     assert auto and auto[0].certificate["maximality"] == tl.PROVEN_MAX
 
 
+def _count_solves(monkeypatch) -> list:
+    """Record the domain size of every ``turan_constant`` call, from
+    ``compare_bounds`` and from the subgroup and quotient bounds."""
+    calls = []
+    solve = tl.turan_lp.turan_constant
+
+    def counted(group, domain, *args, **kwargs):
+        calls.append(domain.size)
+        return solve(group, domain, *args, **kwargs)
+
+    monkeypatch.setattr(tl.turan_lp, "turan_constant", counted)
+    monkeypatch.setattr(spectral, "turan_constant", counted)
+    return calls
+
+
+def test_compare_bounds_solves_the_subgroup_lp_once(monkeypatch):
+    # ex4.1 with K = <4>: K meets the domain in {0, 4}, whose constant the
+    # subgroup and the quotient bound share; one solve of it, one of the
+    # quotient and one of the whole domain
+    G, dom = examples.order8()
+    K = groups.subgroup_generated(G, [4])
+    sub = tl.subgroup_bound(G, dom, K)
+    quo = tl.quotient_bound(G, dom, K)
+    calls = _count_solves(monkeypatch)
+    reports = compare_bounds(G, dom, hints={"K": [[4]]})
+    assert sorted(calls) == [2, 3, 6]
+    got = {r.method: r for r in reports}
+    assert got["subgroup"].value == sub.value
+    assert got["quotient"].value == quo.value
+    inner = got["subgroup"].certificate["inner"]
+    assert got["quotient"].certificate["inner"] is inner
+    assert got["quotient"].certificate.keys() == quo.certificate.keys()
+    # ex4.4's K = <2> on Z_10 meets its domain in {0} only: the quotient
+    # bound takes no inner factor, as quotient_bound does
+    G = make_group([10])
+    dom = symmetric_domain(G, [0, 1, 3, 5, 7, 9])
+    K = groups.subgroup_generated(G, [2])
+    quo = tl.quotient_bound(G, dom, K)
+    calls.clear()
+    reports = compare_bounds(G, dom, hints={"K": [[2]]})
+    assert sorted(calls) == [1, 2, 6]
+    got = {r.method: r for r in reports}
+    assert got["quotient"].certificate["inner"] is None
+    assert got["quotient"].value == quo.value
+
+
+def test_compare_bounds_skips_failed_subgroup_bounds(monkeypatch):
+    G, dom = examples.order8()
+
+    def refuse(*args):
+        raise CertificateInvalidError("refused")
+
+    # a failed inner solve skips both reports; a failed quotient keeps
+    # the subgroup report
+    with monkeypatch.context() as m:
+        m.setattr(tl.turan_lp, "subgroup_as_group", refuse)
+        methods = {r.method for r in compare_bounds(G, dom, {"K": [[4]]})}
+        assert not {"subgroup", "quotient"} & methods
+    with monkeypatch.context() as m:
+        m.setattr(tl.turan_lp, "quotient_group", refuse)
+        methods = {r.method for r in compare_bounds(G, dom, {"K": [[4]]})}
+        assert "subgroup" in methods and "quotient" not in methods
+
+
 def test_compare_bounds_skips_bad_hints():
     G = make_group([8])
     dom = symmetric_domain(G, [0, 1, 3, 4, 5, 7])
