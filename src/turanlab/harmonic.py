@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .groups import Element, FiniteAbelianGroup
+from .groups import Element, FiniteAbelianGroup, exponent_two
 
 _QUARTERS = {
     Fraction(0, 1): 1 + 0j,
@@ -186,7 +186,7 @@ def dft_exact_signs(group: FiniteAbelianGroup, values) -> list:
 
     `values` may be ints or Fractions; the result has the same arithmetic.
     """
-    if any(m not in (1, 2) for m in group.moduli):
+    if not exponent_two(group.moduli):
         raise ValueError("exact sign transform needs all moduli in {1, 2}")
     vals = np.array(list(values), dtype=object)
     if len(vals) != group.order:

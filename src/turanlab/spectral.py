@@ -32,8 +32,9 @@ from .config import (DEFAULT_BUDGET, DEFAULT_TOLERANCES, SearchBudget,
                      Tolerances)
 from .errors import CertificateInvalidError, NumericalInconsistencyError
 from .groups import (Element, FiniteAbelianGroup, SymmetricDomain,
-                     difference_indices, digits, flat, member_mask,
-                     sorted_distinct, subgroup_generated, translate)
+                     difference_indices, digits, exponent_two, flat,
+                     member_mask, sorted_distinct, subgroup_generated,
+                     translate)
 from .harmonic import _axis_transform
 from .packing import (branch_and_bound, max_packing_set, packing_bound,
                       tiling_bound, vertex_mask)
@@ -80,16 +81,12 @@ def _indicator_transform(group: FiniteAbelianGroup,
     return _axis_transform(values, group.moduli, False)
 
 
-def _exponent_two(group: FiniteAbelianGroup) -> bool:
-    return all(m in (1, 2) for m in group.moduli)
-
-
 def _transform_zeros(group: FiniteAbelianGroup,
                      Hc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Magnitudes of the indicator transform of Hc and its zero mask."""
     ft = _indicator_transform(group, Hc)
     mags = np.abs(ft)
-    if _exponent_two(group):
+    if exponent_two(group.moduli):
         zero_mask = np.rint(ft.real) == 0
         if np.abs(ft.real - np.rint(ft.real)).max() > 1e-6:
             raise NumericalInconsistencyError(

@@ -47,9 +47,10 @@ from .config import DEFAULT_TOLERANCES, LP_GROUP_ORDER_CAP, Tolerances
 from .errors import (CertificateInvalidError, InvalidHomomorphismError,
                      WitnessRejectedError)
 from .groups import (Element, FiniteAbelianGroup, Subgroup, SymmetricDomain,
-                     digits, direct_product, fixing_transpositions, flat,
-                     image_domain, member_mask, negation_pairs, orbit_labels,
-                     quotient_group, subgroup_as_group, symmetric_domain)
+                     digits, direct_product, exponent_two,
+                     fixing_transpositions, flat, image_domain, member_mask,
+                     negation_pairs, orbit_labels, quotient_group,
+                     subgroup_as_group, symmetric_domain)
 from .harmonic import (GroupFunction, _axis_transform, _root_table,
                        is_positive_definite)
 from .rational import adjugate
@@ -441,7 +442,7 @@ def solve_lp(problem: LPProblem, mode: str = "float",
         raise ValueError("mode must be 'float' or 'exact-rational'")
     exact = mode == "exact-rational"
     G = problem.group
-    if exact and any(m not in (1, 2) for m in G.moduli):
+    if exact and not exponent_two(G.moduli):
         raise ValueError("exact mode needs every modulus in {1, 2}")
     p = problem.n_vars
 

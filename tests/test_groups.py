@@ -1,6 +1,8 @@
 """Group arithmetic, domains, subgroups, Smith normal form."""
 from __future__ import annotations
 
+import itertools
+import math
 import random
 
 import numpy as np
@@ -183,8 +185,8 @@ def _translate_by_elements(G, v, s):
     (2,) * 12, (3,) * 7, (4,) * 6, (16, 16), (256,), (257,), (2, 128, 2),
     (4099,), (1, 2, 1, 3, 1), (1, 4099, 1, 2), (1,), ()])
 def test_translate_across_block_boundaries(moduli):
-    # runs of axes up to the block limit, an axis alone at and above it,
-    # an axis split off a full block, and order-1 axes between them
+    # many small axes, a few large ones, an exponent-2 group, and order-1
+    # axes between the others: carries from one axis never reach the next
     G = make_group(moduli)
     rng = random.Random(90109)
     pick = lambda k: np.array([rng.randrange(G.order) for _ in range(k)])
@@ -201,24 +203,66 @@ def test_translate_across_block_boundaries(moduli):
 
 @pytest.mark.parametrize("moduli", [(2,) * 6 + (3,) * 4, (3,) * 9,
                                     (4, 4, 4, 4, 4, 4, 4)])
-def test_translate_broadcasts_in_chunks(moduli):
-    # an (|Omega|, |G|) shift table and a 3-d broadcast whose rows are
-    # longer than one gather chunk match element arithmetic everywhere;
-    # (2,)*6 + (3,)*4 has the blocks (2,)*5 and (2, 3, 3, 3, 3), so its
-    # order-2 axes are gathered, where (2,)*k alone would take the XOR
+def test_translate_shift_tables_and_broadcasts(moduli):
+    # an (|Omega|, |G|) shift table, a 3-d broadcast of it and its
+    # transpose match element arithmetic everywhere; (2,)*6 + (3,)*4 mixes
+    # order-2 axes, which alone would take the XOR, with order-3 ones
     G = make_group(moduli)
-    assert len(groups._blocks(moduli)) > 1
     rng = random.Random(90110)
     omega = np.array(rng.sample(range(G.order), 5))
     vertices = np.arange(G.order)
     table = translate(moduli, vertices[None, :], omega[:, None])
-    assert table.shape == (5, G.order) and table.size > groups._CHUNK
+    assert table.shape == (5, G.order)
     assert table.tolist() == _translate_by_elements(G, vertices, omega)
     wide = translate(moduli, vertices[None, None, :], omega[:, None, None])
     assert wide.shape == (5, 1, G.order)
     assert np.array_equal(wide[:, 0], table)
     assert np.array_equal(translate(moduli, omega[None, :], vertices[:, None]),
                           table.T)
+
+
+def test_translate_every_pair_on_every_small_group():
+    # every moduli tuple of order <= 24 with up to 4 axes, order-1 axes
+    # included, and every pair of its elements
+    tuples = [t for k in range(5)
+              for t in itertools.product(range(1, 25), repeat=k)
+              if math.prod(t) <= 24]
+    assert len(tuples) == 720
+    for moduli in tuples:
+        G = make_group(moduli)
+        every = np.arange(G.order)
+        got = translate(moduli, every[None, :], every[:, None])
+        assert got.tolist() == _translate_by_elements(G, every, every), moduli
+
+
+def test_exponent_two():
+    assert groups.exponent_two(()) and groups.exponent_two((1, 2, 1, 2))
+    assert not groups.exponent_two((2, 4)) and not groups.exponent_two((3,))
+    assert not groups.exponent_two((0, 2))
+
+
+def test_translate_refuses_groups_beyond_int64():
+    # an order above 2**63 is refused as digits and flat refuse it, not
+    # left to a numpy OverflowError
+    for moduli in ((5, 2**62 + 3), (3,) + (2,) * 62, (2,) * 64):
+        with pytest.raises(ValueError, match="beyond the int64 range"):
+            translate(moduli, 1, 1)
+
+
+@pytest.mark.parametrize("moduli", [(3 * 2**61,), (3, 2**61),
+                                    (4,) * 31 + (2,)])
+def test_translate_exact_at_the_top_of_int64(moduli):
+    # orders in (2**62, 2**63]: v + s wraps in int64 at the top indices,
+    # and the carries bring it back exactly
+    G = make_group(moduli)
+    top = G.order - 1
+    v = np.array([top, top - 1, top // 2, 1, 0, 2**62])
+    s = np.array([top, top - 3, top // 2 + 1, top, 2**62 + 7])
+    got = translate(moduli, v[None, :], s[:, None])
+    want = [[G.index(G.add(G.element(int(b)), G.element(int(a))))
+             for b in v] for a in s]
+    assert got.tolist() == want
+    assert int(translate(moduli, top, top)) == want[0][0]
 
 
 @pytest.mark.parametrize("moduli", [(1, 2, 1, 2, 2), (2,), (1,), ()])
